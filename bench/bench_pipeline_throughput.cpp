@@ -1,7 +1,6 @@
 // Engineering microbenchmarks: throughput of every pipeline stage
-// (tokenize, parse, CFG, data flow, n-grams, hand-picked features,
-// level-1/level-2 inference, and each transformer), plus the batch
-// engine's scaling axis:
+// (tokenize, parse, CFG, data flow, feature extraction, level-1/level-2
+// inference, and each transformer), plus the batch engine's scaling axis:
 //
 //   $ ./bench_pipeline_throughput                 # sweeps 1/2/4 threads
 //   $ ./bench_pipeline_throughput --threads 8     # pins the batch width
@@ -79,24 +78,6 @@ void BM_DataFlow(benchmark::State& state) {
 }
 BENCHMARK(BM_DataFlow);
 
-void BM_NgramFeatures(benchmark::State& state) {
-  const ParseResult parsed = parse_program(sample_source());
-  features::NgramConfig config;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        features::ngram_features(parsed.ast.root(), config));
-  }
-}
-BENCHMARK(BM_NgramFeatures);
-
-void BM_HandpickedFeatures(benchmark::State& state) {
-  const ScriptAnalysis analysis = analyze_script(sample_source());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(features::handpicked_features(analysis));
-  }
-}
-BENCHMARK(BM_HandpickedFeatures);
-
 void BM_FullFeatureExtraction(benchmark::State& state) {
   features::FeatureConfig config;
   for (auto _ : state) {
@@ -108,20 +89,9 @@ void BM_FullFeatureExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_FullFeatureExtraction);
 
-// Post-parse fast-path microbenchmarks, paired for direct comparison on
-// the same analyzed script / feature row: the legacy multi-walk extractor
-// vs the fused single-pass extractor, and the reference per-tree walk vs
-// compiled-forest inference (both detector levels per iteration).
-void BM_LegacyExtraction(benchmark::State& state) {
-  features::FeatureConfig config;
-  const ScriptAnalysis analysis =
-      analyze_script(sample_source(), config.analysis);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(features::extract(analysis, config));
-  }
-}
-BENCHMARK(BM_LegacyExtraction);
-
+// Post-parse microbenchmarks on one analyzed script: single-pass
+// feature extraction, and compiled-forest inference (both detector
+// levels per iteration).
 void BM_FusedExtraction(benchmark::State& state) {
   features::FeatureConfig config;
   const ScriptAnalysis analysis =
@@ -134,27 +104,14 @@ void BM_FusedExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_FusedExtraction);
 
-void BM_ReferenceInference(benchmark::State& state) {
-  const auto& model = jst::bench::analyzer();
-  const features::FeatureConfig& config = model.options().detector.features;
-  const ScriptAnalysis analysis =
-      analyze_script(sample_source(), config.analysis);
-  const std::vector<float> row = features::extract(analysis, config);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        model.level1().reference_classifier().predict_proba(row));
-    benchmark::DoNotOptimize(
-        model.level2().reference_classifier().predict_proba(row));
-  }
-}
-BENCHMARK(BM_ReferenceInference);
-
 void BM_CompiledInference(benchmark::State& state) {
   const auto& model = jst::bench::analyzer();
   const features::FeatureConfig& config = model.options().detector.features;
   const ScriptAnalysis analysis =
       analyze_script(sample_source(), config.analysis);
-  const std::vector<float> row = features::extract(analysis, config);
+  features::ExtractScratch extract_scratch;
+  const std::vector<float> row =
+      features::extract_into(analysis, config, extract_scratch);
   ml::PredictScratch scratch;
   std::vector<double> proba;
   for (auto _ : state) {

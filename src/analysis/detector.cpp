@@ -2,6 +2,7 @@
 
 #include <istream>
 #include <ostream>
+#include <string>
 
 #include "analysis/model_io.h"
 #include "support/error.h"
@@ -20,17 +21,19 @@ ml::PredictScratch& thread_scratch() {
   return scratch;
 }
 
-// Compiles the fitted classifier for the fast prediction path. A model
-// that exceeds the compact 16-bit node-table limits (far beyond anything
-// jstraced trains, but loadable from a foreign file) stays uncompiled
-// and predicts through the bit-identical reference path instead.
-ml::CompiledEnsemble compile_or_fallback(
-    const ml::MultiLabelClassifier& classifier) {
-  try {
-    return ml::CompiledEnsemble::compile(classifier);
-  } catch (const ModelError&) {
-    return {};
+// Compiles (and so validates) the fitted or loaded classifier for rows
+// of the configured feature dimension and `label_count` labels; a model
+// that fails validation throws ModelError out of fit()/load().
+ml::CompiledEnsemble compile(const ml::MultiLabelClassifier& classifier,
+                             const DetectorConfig& config,
+                             std::size_t label_count) {
+  if (classifier.label_count() != label_count) {
+    throw ModelError("model has " + std::to_string(classifier.label_count()) +
+                     " labels, the detector expects " +
+                     std::to_string(label_count));
   }
+  return ml::CompiledEnsemble::compile(
+      classifier, features::feature_dimension(config.features));
 }
 
 }  // namespace
@@ -45,25 +48,16 @@ void Level1Detector::fit(const ml::Matrix& data, const ml::LabelMatrix& labels,
     throw ModelError("Level1Detector::fit: expected 3 label columns");
   }
   classifier_->fit(data, labels, config_.forest, rng);
-  compiled_ = compile_or_fallback(*classifier_);
+  compiled_ = compile(*classifier_, config_, 3);
 }
 
 Level1Detector::Prediction Level1Detector::predict(
     std::span<const float> row, ml::PredictScratch& scratch) const {
+  compiled_.predict_proba(row, scratch, scratch.proba);
   Prediction prediction;
-  if (compiled_.compiled()) {
-    compiled_.predict_proba(row, scratch, scratch.proba);
-    prediction.p_regular = scratch.proba[0];
-    prediction.p_minified = scratch.proba[1];
-    prediction.p_obfuscated = scratch.proba[2];
-    return prediction;
-  }
-  // Untrained (or not yet compiled) — the reference classifier reports
-  // the canonical error.
-  const std::vector<double> probabilities = classifier_->predict_proba(row);
-  prediction.p_regular = probabilities[0];
-  prediction.p_minified = probabilities[1];
-  prediction.p_obfuscated = probabilities[2];
+  prediction.p_regular = scratch.proba[0];
+  prediction.p_minified = scratch.proba[1];
+  prediction.p_obfuscated = scratch.proba[2];
   return prediction;
 }
 
@@ -72,15 +66,15 @@ Level1Detector::Prediction Level1Detector::predict(
   return predict(row, thread_scratch());
 }
 
-void Level1Detector::save(std::ostream& out, ml::ModelEncoding encoding) const {
+void Level1Detector::save(std::ostream& out) const {
   write_model_header(out, make_model_header("level1", config_));
-  classifier_->save(out, encoding);
+  classifier_->save(out);
 }
 
 void Level1Detector::load(std::istream& in) {
   check_model_header(in, make_model_header("level1", config_));
   classifier_->load(in);
-  compiled_ = compile_or_fallback(*classifier_);
+  compiled_ = compile(*classifier_, config_, 3);
 }
 
 Level2Detector::Level2Detector(DetectorConfig config)
@@ -93,17 +87,13 @@ void Level2Detector::fit(const ml::Matrix& data, const ml::LabelMatrix& labels,
     throw ModelError("Level2Detector::fit: expected 10 label columns");
   }
   classifier_->fit(data, labels, config_.forest, rng);
-  compiled_ = compile_or_fallback(*classifier_);
+  compiled_ = compile(*classifier_, config_, transform::kTechniqueCount);
 }
 
 void Level2Detector::predict_proba(std::span<const float> row,
                                    ml::PredictScratch& scratch,
                                    std::vector<double>& out) const {
-  if (compiled_.compiled()) {
-    compiled_.predict_proba(row, scratch, out);
-    return;
-  }
-  out = classifier_->predict_proba(row);
+  compiled_.predict_proba(row, scratch, out);
 }
 
 std::vector<double> Level2Detector::predict_proba(
@@ -115,14 +105,10 @@ std::vector<double> Level2Detector::predict_proba(
 
 std::vector<transform::Technique> Level2Detector::predict_techniques(
     std::span<const float> row, ml::PredictScratch& scratch) const {
-  if (compiled_.compiled()) {
-    compiled_.predict_topk_thresholded(row, config_.level2_topk,
-                                       config_.level2_threshold, scratch,
-                                       scratch.picked);
-    return techniques_from_indices(scratch.picked);
-  }
-  return techniques_from_indices(classifier_->predict_topk_thresholded(
-      row, config_.level2_topk, config_.level2_threshold));
+  compiled_.predict_topk_thresholded(row, config_.level2_topk,
+                                     config_.level2_threshold, scratch,
+                                     scratch.picked);
+  return techniques_from_indices(scratch.picked);
 }
 
 std::vector<transform::Technique> Level2Detector::predict_techniques(
@@ -132,23 +118,20 @@ std::vector<transform::Technique> Level2Detector::predict_techniques(
 
 std::vector<transform::Technique> Level2Detector::predict_topk(
     std::span<const float> row, std::size_t k) const {
-  if (compiled_.compiled()) {
-    ml::PredictScratch& scratch = thread_scratch();
-    compiled_.predict_topk(row, k, scratch, scratch.picked);
-    return techniques_from_indices(scratch.picked);
-  }
-  return techniques_from_indices(classifier_->predict_topk(row, k));
+  ml::PredictScratch& scratch = thread_scratch();
+  compiled_.predict_topk(row, k, scratch, scratch.picked);
+  return techniques_from_indices(scratch.picked);
 }
 
-void Level2Detector::save(std::ostream& out, ml::ModelEncoding encoding) const {
+void Level2Detector::save(std::ostream& out) const {
   write_model_header(out, make_model_header("level2", config_));
-  classifier_->save(out, encoding);
+  classifier_->save(out);
 }
 
 void Level2Detector::load(std::istream& in) {
   check_model_header(in, make_model_header("level2", config_));
   classifier_->load(in);
-  compiled_ = compile_or_fallback(*classifier_);
+  compiled_ = compile(*classifier_, config_, transform::kTechniqueCount);
 }
 
 }  // namespace jst::analysis

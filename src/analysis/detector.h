@@ -43,29 +43,25 @@ class Level1Detector {
     bool regular() const { return !transformed(); }
   };
 
-  // Predictions route through the compiled fast path (built at the end
-  // of fit()/load()); the scratch overload is allocation-free in steady
-  // state. Both are bit-identical to the reference classifier.
+  // Predictions run on the compiled ensemble built at the end of
+  // fit()/load(); the scratch overload is allocation-free in steady
+  // state. Before fit()/load() they throw ModelError.
   Prediction predict(std::span<const float> row) const;
   Prediction predict(std::span<const float> row,
                      ml::PredictScratch& scratch) const;
   const DetectorConfig& config() const { return config_; }
 
-  // The uncompiled classifier (equivalence-test oracle) and its compiled
-  // counterpart. compiled().compiled() is false until fit() or load().
-  const ml::MultiLabelClassifier& reference_classifier() const {
-    return *classifier_;
-  }
+  // The compiled ensemble; compiled().compiled() is false until fit() or
+  // load().
   const ml::CompiledEnsemble& compiled() const { return compiled_; }
 
   // Persist/restore the trained classifier behind a versioned model header
-  // (magic + format version + feature dimension + forest parameters). The
-  // loader must be constructed with the same DetectorConfig; a mismatch
-  // throws ModelError naming the offending field. New saves default to the
-  // binary forest encoding; load() auto-detects, so text files written by
-  // older builds keep loading.
-  void save(std::ostream& out,
-            ml::ModelEncoding encoding = ml::ModelEncoding::kBinary) const;
+  // (magic + format version + feature dimension + forest parameters),
+  // followed by the binary forest payloads. The loader must be
+  // constructed with the same DetectorConfig; a mismatch throws
+  // ModelError naming the offending field, and a model that fails
+  // CompiledEnsemble validation throws the compile error.
+  void save(std::ostream& out) const;
   void load(std::istream& in);
 
  private:
@@ -98,13 +94,9 @@ class Level2Detector {
 
   const DetectorConfig& config() const { return config_; }
 
-  const ml::MultiLabelClassifier& reference_classifier() const {
-    return *classifier_;
-  }
   const ml::CompiledEnsemble& compiled() const { return compiled_; }
 
-  void save(std::ostream& out,
-            ml::ModelEncoding encoding = ml::ModelEncoding::kBinary) const;
+  void save(std::ostream& out) const;
   void load(std::istream& in);
 
  private:

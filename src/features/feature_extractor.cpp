@@ -21,33 +21,18 @@ std::vector<std::string> feature_names(const FeatureConfig& config) {
   }
   if (config.use_ngrams) {
     for (std::size_t i = 0; i < config.ngram.hash_dim; ++i) {
-      names.push_back("ngram" + std::to_string(config.ngram.n) + "_" +
+      names.push_back("ngram" + std::to_string(kNgramSize) + "_" +
                       std::to_string(i));
     }
   }
   return names;
 }
 
-std::vector<float> extract(const ScriptAnalysis& analysis,
-                           const FeatureConfig& config) {
-  std::vector<float> out;
-  out.reserve(feature_dimension(config));
-  if (config.use_handpicked) {
-    std::vector<float> handpicked = handpicked_features(analysis);
-    out.insert(out.end(), handpicked.begin(), handpicked.end());
-  }
-  if (config.use_ngrams) {
-    std::vector<float> ngrams =
-        ngram_features(analysis.parse.ast.root(), config.ngram);
-    out.insert(out.end(), ngrams.begin(), ngrams.end());
-  }
-  return out;
-}
-
 std::vector<float> extract_from_source(std::string_view source,
                                        const FeatureConfig& config) {
+  static thread_local ExtractScratch scratch;
   const ScriptAnalysis analysis = analyze_script(source, config.analysis);
-  return extract(analysis, config);
+  return extract_into(analysis, config, scratch);
 }
 
 const std::vector<float>& extract_into(const ScriptAnalysis& analysis,
@@ -57,13 +42,10 @@ const std::vector<float>& extract_into(const ScriptAnalysis& analysis,
   scratch.row.clear();
   const Node* root = analysis.parse.ast.root();
 
-  const std::size_t n = config.ngram.n;
+  constexpr std::size_t n = kNgramSize;
   const std::size_t hash_dim = config.ngram.hash_dim;
   const bool want_handpicked = config.use_handpicked;
-  // The incremental ring needs n >= 1 in-flight hash states; n == 0 is a
-  // degenerate configuration nobody uses, handled by the reference path
-  // below so the two implementations never diverge.
-  const bool want_ngrams = config.use_ngrams && hash_dim > 0 && n > 0;
+  const bool want_ngrams = config.use_ngrams && hash_dim > 0;
 
   ExtractCounters& counters = scratch.counters;
   if (want_handpicked) {
@@ -72,7 +54,7 @@ const std::vector<float>& extract_into(const ScriptAnalysis& analysis,
   }
   if (want_ngrams) {
     scratch.ngram_histogram.assign(hash_dim, 0.0f);
-    scratch.fnv_ring.assign(n, 0);
+    scratch.fnv_ring.fill(0);
   }
 
   std::size_t max_depth = 0;
@@ -95,8 +77,8 @@ const std::vector<float>& extract_into(const ScriptAnalysis& analysis,
             // the slot for the window starting at this node resets to the
             // offset basis, every slot absorbs this node's kind byte, and
             // the window that just saw its n-th byte emits. Windows emit
-            // in the same order the reference hasher iterates them, so
-            // the float histogram increments identically.
+            // in start order, so each one is hashed exactly as FNV-1a over
+            // its n kind bytes.
             const auto byte = static_cast<std::uint8_t>(node.kind);
             scratch.fnv_ring[node_index % n] = kFnvOffsetBasis;
             for (std::uint64_t& hash : scratch.fnv_ring) {
@@ -121,16 +103,13 @@ const std::vector<float>& extract_into(const ScriptAnalysis& analysis,
     assemble_handpicked(analysis, counters, max_depth, breadth, scratch.row);
   }
   if (want_ngrams) {
-    const std::size_t windows = ngram_window_count(node_index, n);
+    const std::size_t windows = node_index >= n ? node_index - n + 1 : 0;
     if (windows > 0) {
       const float scale = 1.0f / static_cast<float>(windows);
       for (float& value : scratch.ngram_histogram) value *= scale;
     }
     scratch.row.insert(scratch.row.end(), scratch.ngram_histogram.begin(),
                        scratch.ngram_histogram.end());
-  } else if (config.use_ngrams) {
-    const std::vector<float> reference = ngram_features(root, config.ngram);
-    scratch.row.insert(scratch.row.end(), reference.begin(), reference.end());
   }
   return scratch.row;
 }

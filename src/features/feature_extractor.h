@@ -23,20 +23,12 @@ struct FeatureConfig {
 // Total dimensionality under `config`.
 std::size_t feature_dimension(const FeatureConfig& config);
 
-// Names aligned with extract()'s output (hand-picked names, then
+// Names aligned with extract_into()'s output (hand-picked names, then
 // "ngram4_<bucket>").
 std::vector<std::string> feature_names(const FeatureConfig& config);
 
-// Extracts the feature vector from an already-analyzed script.
-//
-// Reference implementation: separate traversals for the hand-picked
-// counters, tree depth, tree breadth, and the n-gram kind sequence. Kept
-// as the oracle the fused fast path is equivalence-tested against.
-std::vector<float> extract(const ScriptAnalysis& analysis,
-                           const FeatureConfig& config);
-
-// Fused fast path: produces a vector bit-identical to extract() in ONE
-// pre-order traversal — the hand-picked counters, depth/breadth tracking,
+// Extracts the feature vector from an already-analyzed script in ONE
+// pre-order traversal: the hand-picked counters, depth/breadth tracking,
 // and an incremental FNV-1a ring of partial n-gram hash states all
 // advance per node, with no materialized kind sequence. All working
 // storage lives in `scratch` (capacities survive across calls, so steady
@@ -46,7 +38,9 @@ const std::vector<float>& extract_into(const ScriptAnalysis& analysis,
                                        const FeatureConfig& config,
                                        ExtractScratch& scratch);
 
-// Parses + analyzes + extracts in one call. Throws ParseError.
+// Parses + analyzes + extracts in one call (analyze_script, then
+// extract_into with a scratch local to the calling thread). Throws
+// ParseError.
 std::vector<float> extract_from_source(std::string_view source,
                                        const FeatureConfig& config);
 

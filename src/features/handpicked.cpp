@@ -574,14 +574,4 @@ void assemble_handpicked(const ScriptAnalysis& analysis,
   push(static_cast<double>(c.self_defense_markers) / nodes);
 }
 
-std::vector<float> handpicked_features(const ScriptAnalysis& analysis) {
-  const Node* root = analysis.parse.ast.root();
-  ExtractCounters c;
-  walk_preorder(root,
-                [&c](const Node& node) { gather_handpicked(node, c); });
-  std::vector<float> out;
-  assemble_handpicked(analysis, c, tree_depth(root), tree_breadth(root), out);
-  return out;
-}
-
 }  // namespace jst::features

@@ -21,21 +21,18 @@
 
 namespace jst::features {
 
-// Stable list of hand-picked feature names; the returned vector of
-// handpicked_features() uses the same order.
+// Stable list of hand-picked feature names, in the order
+// assemble_handpicked() appends the values.
 const std::vector<std::string>& handpicked_feature_names();
 
-std::vector<float> handpicked_features(const ScriptAnalysis& analysis);
-
-// Per-node counter update — the traversal body of handpicked_features,
-// exposed so the fused single-pass extractor (feature_extractor.cpp) can
-// drive it from its own walk. Must be called once per node in pre-order.
+// Per-node counter update, driven by the single-pass extractor
+// (feature_extractor.cpp) from its own walk. Must be called once per node
+// in pre-order.
 void gather_handpicked(const Node& node, ExtractCounters& counters);
 
 // Assembles the hand-picked feature block from gathered counters plus the
 // tree depth/breadth, appending handpicked_feature_names().size() values
-// to `out`. Shared by the legacy and fused extraction paths, so the two
-// differ only in how the counters were gathered.
+// to `out`.
 void assemble_handpicked(const ScriptAnalysis& analysis,
                          const ExtractCounters& counters, std::size_t depth,
                          std::size_t breadth, std::vector<float>& out);

@@ -3,39 +3,25 @@
 // The paper extracts 4-grams over "the list of syntactic units" of the AST
 // (pre-order node-kind sequence). We hash each n-gram into a fixed number
 // of buckets (the vector-space dimensions stay consistent across samples,
-// §III-B) and store relative frequencies.
+// §III-B) and store relative frequencies. The fused extractor
+// (feature_extractor.cpp: extract_into) computes the histogram.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
-
-#include "ast/ast.h"
 
 namespace jst::features {
 
+// The paper's n-gram length.
+inline constexpr std::size_t kNgramSize = 4;
+
 struct NgramConfig {
-  std::size_t n = 4;
   std::size_t hash_dim = 512;
 };
 
-// FNV-1a parameters for n-gram hashing. Shared between the reference
-// windowed hasher below and the fused extractor's incremental ring of
-// partial hash states (feature_extractor.cpp), which must produce the
-// same per-window values.
+// FNV-1a parameters: each n-gram window hashes its node-kind bytes with
+// these, and the bucket is the hash modulo hash_dim.
 inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
 inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-// Relative-frequency histogram of hashed n-grams, size = config.hash_dim.
-std::vector<float> ngram_features(const Node* root, const NgramConfig& config);
-
-// Raw n-gram window count given the tree's node count
-// (windows = max(0, node_count - n + 1)).
-std::size_t ngram_window_count(std::size_t node_count, std::size_t n);
-
-// Convenience overload that counts the tree's nodes first. Callers that
-// already know the node count (the analysis pipeline computes it anyway)
-// should use the count-based overload and skip the extra traversal.
-std::size_t ngram_window_count(const Node* root, std::size_t n);
 
 }  // namespace jst::features

@@ -1,10 +1,10 @@
 // Reusable per-thread extraction state for the fused feature fast path.
 //
-// The legacy extractor allocates its counter containers, traversal
-// stacks, n-gram histogram, and output vector fresh for every script. At
-// batch scale those allocations dominate small-script extraction, so the
-// fast path (feature_extractor.h: extract_into) threads one
-// ExtractScratch through every script a worker analyzes: containers are
+// Allocating counter containers, traversal stacks, the n-gram histogram,
+// and the output vector fresh for every script would dominate
+// small-script extraction at batch scale, so the extractor
+// (feature_extractor.h: extract_into) threads one ExtractScratch through
+// every script a worker analyzes: containers are
 // cleared between scripts but keep their capacity, making steady-state
 // extraction allocation-free. AnalyzerService owns one scratch per batch
 // worker thread and reports reuse/footprint via the obs metrics
@@ -220,7 +220,7 @@ struct ExtractScratch {
   // Nodes per depth level (tree breadth).
   std::vector<std::size_t> level_counts;
   // FNV-1a partial hash states, one per in-flight n-gram window.
-  std::vector<std::uint64_t> fnv_ring;
+  std::array<std::uint64_t, kNgramSize> fnv_ring{};
   // Hashed n-gram histogram (hash_dim buckets).
   std::vector<float> ngram_histogram;
   // The assembled feature vector extract_into returns a view of.
@@ -242,7 +242,6 @@ struct ExtractScratch {
     return counters.capacity_bytes() +
            walk_stack.capacity() * sizeof(walk_stack[0]) +
            level_counts.capacity() * sizeof(std::size_t) +
-           fnv_ring.capacity() * sizeof(std::uint64_t) +
            (ngram_histogram.capacity() + row.capacity()) * sizeof(float) +
            dataflow.capacity_bytes() + cfg.capacity_bytes() +
            eligibility_stack.capacity() * sizeof(const Node*);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 
 #include "support/error.h"
 
@@ -30,37 +31,50 @@ CompiledForest CompiledForest::compile(const RandomForest& forest) {
     if (nodes.empty()) {
       throw ModelError("CompiledForest::compile: empty tree");
     }
-    // The compact table stores feature indices and child offsets as
-    // int16. Tree-local indices stay below nodes.size(), so offsets fit
-    // whenever the tree has at most 32768 nodes; jstraced-trained trees
-    // are orders of magnitude below either bound. Foreign models that
-    // exceed it are rejected (callers fall back to the reference path).
+    // Child offsets are int16 and children lie inside their tree, so a
+    // tree may hold at most 32768 nodes; jstraced-trained trees are
+    // orders of magnitude below that.
     if (nodes.size() > 32768) {
       throw ModelError(
           "CompiledForest::compile: tree too large for compact node table");
+    }
+    if (tree.feature_count() != forest.feature_count()) {
+      throw ModelError(
+          "CompiledForest::compile: tree and forest feature counts differ");
     }
     const auto base = static_cast<std::int32_t>(out.feature_.size());
     out.roots_.push_back(static_cast<std::uint32_t>(base));
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       const DecisionTree::TreeNode& node = nodes[i];
       const auto self = static_cast<std::int32_t>(i);
-      if (node.feature > 32767) {
-        throw ModelError(
-            "CompiledForest::compile: feature index exceeds compact layout");
+      const bool internal = node.feature >= 0;
+      if (internal) {
+        if (static_cast<std::size_t>(node.feature) >= forest.feature_count() ||
+            node.feature > 32767) {
+          throw ModelError("CompiledForest::compile: node " +
+                           std::to_string(i) + " reads feature " +
+                           std::to_string(node.feature) + " of " +
+                           std::to_string(forest.feature_count()));
+        }
+        const auto size = static_cast<std::int64_t>(nodes.size());
+        if (node.left <= self || node.right <= self || node.left >= size ||
+            node.right >= size) {
+          throw ModelError("CompiledForest::compile: node " +
+                           std::to_string(i) +
+                           " has a child outside (node, tree end)");
+        }
       }
-      out.feature_.push_back(
-          node.feature >= 0 ? static_cast<std::int16_t>(node.feature)
-                            : std::int16_t{-1});
+      out.feature_.push_back(internal ? static_cast<std::int16_t>(node.feature)
+                                      : std::int16_t{-1});
       out.threshold_.push_back(node.threshold);
       // Children are stored as offsets relative to the node itself; the
       // source indices are tree-local, so self-relative offsets survive
       // the concatenation unchanged. Leaves keep 0 (never followed).
-      out.left_.push_back(
-          node.feature >= 0 ? static_cast<std::int16_t>(node.left - self)
-                            : std::int16_t{0});
-      out.right_.push_back(
-          node.feature >= 0 ? static_cast<std::int16_t>(node.right - self)
-                            : std::int16_t{0});
+      out.left_.push_back(internal ? static_cast<std::int16_t>(node.left - self)
+                                   : std::int16_t{0});
+      out.right_.push_back(internal
+                               ? static_cast<std::int16_t>(node.right - self)
+                               : std::int16_t{0});
       out.leaf_value_.push_back(node.value);
     }
   }
@@ -94,38 +108,8 @@ double CompiledForest::predict_proba(std::span<const float> row) const {
   return total / static_cast<double>(roots_.size());
 }
 
-void CompiledForest::predict_batch(const Matrix& data,
-                                   std::span<double> out) const {
-  if (roots_.empty()) {
-    throw ModelError("CompiledForest::predict before compile");
-  }
-  const std::size_t row_count = data.row_count();
-  if (out.size() != row_count) {
-    throw ModelError("CompiledForest::predict_batch: output size mismatch");
-  }
-  std::fill(out.begin(), out.end(), 0.0);
-  // Tree blocks outermost: a block's node table stays cache-resident
-  // while every row streams through it. Within a row the trees of a block
-  // are visited in ascending order, and blocks advance in ascending
-  // order, so each row accumulates leaf values in exactly the tree order
-  // of the per-row path — keeping the double sum bit-identical.
-  for (std::size_t block = 0; block < roots_.size(); block += kTreeBlock) {
-    const std::size_t block_end = std::min(block + kTreeBlock, roots_.size());
-    for (std::size_t i = 0; i < row_count; ++i) {
-      const std::span<const float> row = (*data.rows)[i];
-      double total = out[i];
-      for (std::size_t t = block; t < block_end; ++t) {
-        total += predict_tree(roots_[t], row);
-      }
-      out[i] = total;
-    }
-  }
-  const double scale_count = static_cast<double>(roots_.size());
-  for (double& value : out) value /= scale_count;
-}
-
 CompiledEnsemble CompiledEnsemble::compile(
-    const MultiLabelClassifier& classifier) {
+    const MultiLabelClassifier& classifier, std::size_t feature_dimension) {
   if (classifier.label_count() == 0) {
     throw ModelError("CompiledEnsemble::compile: classifier not trained");
   }
@@ -134,8 +118,17 @@ CompiledEnsemble CompiledEnsemble::compile(
   out.chain_threshold_ = classifier.chain_threshold();
   const std::span<const RandomForest> forests = classifier.forests();
   out.forests_.reserve(forests.size());
-  for (const RandomForest& forest : forests) {
-    out.forests_.push_back(CompiledForest::compile(forest));
+  for (std::size_t j = 0; j < forests.size(); ++j) {
+    // Chain position j sees the row plus the j upstream label bits.
+    const std::size_t expected = feature_dimension + (out.chained_ ? j : 0);
+    if (forests[j].feature_count() != expected) {
+      throw ModelError("CompiledEnsemble::compile: forest " +
+                       std::to_string(j) + " expects " +
+                       std::to_string(forests[j].feature_count()) +
+                       " features, the model's rows carry " +
+                       std::to_string(expected));
+    }
+    out.forests_.push_back(CompiledForest::compile(forests[j]));
   }
   return out;
 }
@@ -154,7 +147,8 @@ void CompiledEnsemble::predict_proba(std::span<const float> row,
     return;
   }
   // Chain rule: position j sees the thresholded predictions of positions
-  // [0, j-1] appended to the row — same bits ClassifierChain pushes.
+  // [0, j-1] appended to the row, as ClassifierChain::fit appended the
+  // ground-truth labels.
   scratch.extended.assign(row.begin(), row.end());
   for (std::size_t j = 0; j < forests_.size(); ++j) {
     out[j] = forests_[j].predict_proba(scratch.extended);
@@ -180,16 +174,6 @@ void CompiledEnsemble::rank_labels(PredictScratch& scratch) const {
                    [&](std::size_t a, std::size_t b) {
                      return probabilities[a] > probabilities[b];
                    });
-}
-
-void CompiledEnsemble::predict_set(std::span<const float> row, double threshold,
-                                   PredictScratch& scratch,
-                                   std::vector<std::size_t>& out) const {
-  predict_proba(row, scratch, scratch.proba);
-  out.clear();
-  for (std::size_t i = 0; i < scratch.proba.size(); ++i) {
-    if (scratch.proba[i] >= threshold) out.push_back(i);
-  }
 }
 
 void CompiledEnsemble::predict_topk(std::span<const float> row, std::size_t k,

@@ -1,10 +1,10 @@
-// Compiled inference fast path: flattened, cache-friendly forest layout.
+// Compiled inference: the one prediction path for fitted forests.
 //
-// RandomForest::predict_proba walks one std::vector<TreeNode> per tree —
-// an AoS layout where every hop touches a 24-byte node (half of which is
+// A fitted RandomForest holds one std::vector<TreeNode> per tree — an AoS
+// layout where every hop would touch a 24-byte node (half of which is
 // training-only payload: importance, and the redundant left index) spread
 // over per-tree heap blocks. At wild-study scale (the paper classifies
-// ~20M scripts, 13 forests per script) that pointer-chasing is the
+// ~20M scripts, 13 forests per script) that pointer-chasing would be the
 // inference bottleneck.
 //
 // CompiledForest flattens a fitted forest into one contiguous
@@ -17,19 +17,26 @@
 // interleaves inference with extraction, so the node tables re-enter
 // cache cold for every script. A tree hop reads a 2-byte feature, a
 // 4-byte threshold, and a 2-byte offset from three hot arrays instead of
-// one cold 24-byte struct, and whole trees sit adjacent in memory so
-// block-wise batch evaluation keeps a tree resident while streaming rows.
-// compile() rejects models that exceed the 16-bit layout (>32767 features
-// or >32768 nodes in one tree — far beyond anything jstraced trains);
-// the detectors then fall back to the reference prediction path.
+// one cold 24-byte struct.
 //
-// Predictions are bit-identical to the reference path by construction:
-// the same float thresholds are compared with the same `<=`, the same
-// float leaf values are accumulated into a double in the same tree order,
-// and the same single division by the tree count happens at the end.
-// DecisionTree::predict stays as the oracle; the equivalence suite
-// (tests/test_compiled.cpp) asserts exact equality on randomized
-// matrices, saved-then-loaded models, and across JST_THREADS widths.
+// compile() is also where a loaded model is validated, so a corrupt or
+// hostile model file fails with ModelError instead of hanging or reading
+// out of bounds at prediction time:
+//  - every tree is non-empty, has at most 32768 nodes (the 16-bit
+//    offset range), and declares the forest's feature count;
+//  - every internal node's children lie strictly after it and inside its
+//    tree (what DecisionTree::fit produces), so every walk terminates;
+//  - every feature index is below the forest's feature count (and fits
+//    the 16-bit layout);
+//  - CompiledEnsemble::compile additionally requires forest j to expect
+//    exactly feature_dimension + j features in a chain (feature_dimension
+//    otherwise), so no lookup can run past the rows it is given.
+//
+// A forest predicts the average of its trees' leaf values: float leaves
+// accumulated into a double in ascending tree order, then one division
+// by the tree count. The oracle suite (tests/test_compiled.cpp) pins the
+// outputs to fingerprints captured from the former per-tree reference
+// walk, across the JST_THREADS=1/4 matrix and under ASan/UBSan.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +69,9 @@ class CompiledForest {
  public:
   CompiledForest() = default;
 
-  // Flattens a fitted forest. Throws ModelError if the forest is empty.
+  // Flattens and validates a fitted or loaded forest. Throws ModelError
+  // if the forest is empty or breaks a rule listed at the top of this
+  // file.
   static CompiledForest compile(const RandomForest& forest);
 
   bool compiled() const { return !roots_.empty(); }
@@ -70,18 +79,9 @@ class CompiledForest {
   std::size_t node_count() const { return feature_.size(); }
   std::size_t feature_count() const { return feature_count_; }
 
-  // Averaged positive-class probability — bit-identical to
-  // RandomForest::predict_proba on the source forest.
+  // Averaged positive-class probability across trees. `row` must hold
+  // feature_count() values.
   double predict_proba(std::span<const float> row) const;
-
-  // Row-major batch evaluation: out[i] = predict_proba(row i). Trees are
-  // evaluated in blocks (kTreeBlock at a time) across all rows, keeping
-  // the block's node table cache-resident while the rows stream; per-row
-  // accumulation still happens in ascending tree order, so every out[i]
-  // is bit-identical to the per-row call.
-  void predict_batch(const Matrix& data, std::span<double> out) const;
-
-  static constexpr std::size_t kTreeBlock = 8;
 
  private:
   double predict_tree(std::uint32_t root, std::span<const float> row) const;
@@ -99,28 +99,28 @@ class CompiledForest {
 // Compiled counterpart of a fitted MultiLabelClassifier: one
 // CompiledForest per label plus the chain rule (thresholded upstream
 // predictions appended as features) when the source was a
-// ClassifierChain. Mirrors predict_proba / predict_set / predict_topk /
-// predict_topk_thresholded bit-for-bit, with scratch-taking overloads
-// that are allocation-free in steady state.
+// ClassifierChain. The scratch-taking overloads are allocation-free in
+// steady state.
 class CompiledEnsemble {
  public:
   CompiledEnsemble() = default;
 
-  static CompiledEnsemble compile(const MultiLabelClassifier& classifier);
+  // Compiles every per-label forest for rows of `feature_dimension`
+  // values. Throws ModelError if the classifier is untrained or any
+  // forest fails validation.
+  static CompiledEnsemble compile(const MultiLabelClassifier& classifier,
+                                  std::size_t feature_dimension);
 
   bool compiled() const { return !forests_.empty(); }
   std::size_t label_count() const { return forests_.size(); }
   bool chained() const { return chained_; }
 
-  // Per-label probabilities into `out` (resized to label_count()).
+  // Per-label positive probability into `out` (resized to label_count()).
+  // Independent scores; they do not sum to 1 — the paper leans on this
+  // for its confidence-threshold analysis.
   void predict_proba(std::span<const float> row, PredictScratch& scratch,
                      std::vector<double>& out) const;
   std::vector<double> predict_proba(std::span<const float> row) const;
-
-  // Labels with probability >= threshold.
-  void predict_set(std::span<const float> row, double threshold,
-                   PredictScratch& scratch,
-                   std::vector<std::size_t>& out) const;
 
   // Indices of the k most probable labels, most probable first.
   void predict_topk(std::span<const float> row, std::size_t k,
@@ -138,8 +138,8 @@ class CompiledEnsemble {
   }
 
  private:
-  // Ranks scratch.proba into scratch.order (stable, descending) — the
-  // exact stable_sort the reference decision rules use.
+  // Ranks scratch.proba into scratch.order (stable, descending; ties keep
+  // label order).
   void rank_labels(PredictScratch& scratch) const;
 
   std::vector<CompiledForest> forests_;

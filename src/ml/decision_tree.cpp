@@ -84,13 +84,13 @@ std::int32_t DecisionTree::build(const Matrix& data,
   std::vector<std::pair<float, std::uint8_t>> values;
   values.reserve(count);
 
-  // The auto policy pays the presorted filter's O(N) walk only where it
-  // beats re-sorting: nodes still holding at least a quarter of the
-  // tree's samples (the top of the tree, where sorts are biggest).
+  // Per feature, the split scan consumes the node's (value, label) pairs
+  // sorted ascending. Nodes still holding at least a quarter of the
+  // tree's samples (the top of the tree, where sorts are biggest) filter
+  // a once-per-tree presorted column in O(N); smaller nodes gather their
+  // pairs and sort them. Both produce the identical sequence.
   const std::size_t total_slots = scratch.bootstrap.size();
-  const bool use_presorted =
-      params.split_finder == SplitFinder::kPresorted ||
-      (params.split_finder == SplitFinder::kAuto && count * 4 >= total_slots);
+  const bool use_presorted = count * 4 >= total_slots;
 
   const std::vector<std::size_t> feature_subset =
       rng.sample_indices(feature_count_, candidates);
@@ -192,52 +192,19 @@ std::int32_t DecisionTree::build(const Matrix& data,
   return self;
 }
 
-double DecisionTree::predict(std::span<const float> row) const {
-  if (nodes_.empty()) throw ModelError("DecisionTree::predict before fit");
-  std::int32_t index = 0;
-  while (nodes_[index].feature >= 0) {
-    const TreeNode& node = nodes_[index];
-    const float value = row[static_cast<std::size_t>(node.feature)];
-    index = value <= node.threshold ? node.left : node.right;
-  }
-  return nodes_[index].value;
-}
-
 void DecisionTree::save(std::ostream& out) const {
-  out.precision(17);  // lossless float round-trip
-  out << nodes_.size() << ' ' << depth_ << ' ' << feature_count_ << '\n';
-  for (const TreeNode& node : nodes_) {
-    out << node.feature << ' ' << node.threshold << ' ' << node.left << ' '
-        << node.right << ' ' << node.value << ' ' << node.importance << '\n';
-  }
-}
-
-void DecisionTree::load(std::istream& in) {
-  std::size_t count = 0;
-  if (!(in >> count >> depth_ >> feature_count_)) {
-    throw ModelError("DecisionTree::load: bad header");
-  }
-  nodes_.assign(count, TreeNode{});
-  for (TreeNode& node : nodes_) {
-    if (!(in >> node.feature >> node.threshold >> node.left >> node.right >>
-          node.value >> node.importance)) {
-      throw ModelError("DecisionTree::load: truncated node table");
-    }
-  }
-}
-
-void DecisionTree::save_binary(std::ostream& out) const {
   codec::write_u64(out, nodes_.size());
   codec::write_u64(out, depth_);
   codec::write_u64(out, feature_count_);
   codec::write_array<TreeNode>(out, nodes_);
 }
 
-void DecisionTree::load_binary(std::istream& in) {
+void DecisionTree::load(std::istream& in) {
   const std::uint64_t count = codec::read_u64(in, "tree node count");
   depth_ = static_cast<std::size_t>(codec::read_u64(in, "tree depth"));
   feature_count_ =
       static_cast<std::size_t>(codec::read_u64(in, "tree feature count"));
+  codec::check_count(in, count, sizeof(TreeNode), "tree node count");
   nodes_.assign(static_cast<std::size_t>(count), TreeNode{});
   codec::read_array<TreeNode>(in, nodes_, "tree node table");
 }

@@ -2,8 +2,9 @@
 //
 // Replaces the scikit-learn tree the paper builds on. Splits minimize Gini
 // impurity; leaves store the positive-class fraction of their training
-// samples, so predict() yields calibrated-ish probabilities that the
-// forest averages.
+// samples, so a tree walk yields calibrated-ish probabilities that the
+// forest averages. Prediction runs on the flattened node tables of
+// compiled_forest.h; this class only fits, introspects and serializes.
 #pragma once
 
 #include <cstddef>
@@ -28,50 +29,18 @@ struct Matrix {
   }
 };
 
-// How fit() produces the per-feature sorted (value, label) sequence a
-// split scan consumes. Both strategies yield byte-for-byte identical
-// fitted trees (asserted by test_ml's serialization-hash test): the
-// presorted filter emits exactly the sequence gather+sort would, so the
-// choice is purely a performance knob.
-//   kGather    — per node: gather the node's pairs and std::sort them
-//                (the historical code path; O(n log n) per feature).
-//   kPresorted — per tree: lazily sort each feature's bootstrap column
-//                once, then per node filter that ordering through a
-//                multiplicity count array (O(N) walk, no re-sorting).
-//   kAuto      — presorted filter for nodes holding a large share of the
-//                tree's samples (where the O(N) walk is cheaper than
-//                re-sorting), gather+sort for small deep nodes.
-enum class SplitFinder : std::uint8_t {
-  kAuto,
-  kGather,
-  kPresorted,
-};
-
 struct TreeParams {
   std::size_t max_depth = 24;
   std::size_t min_samples_split = 4;
   std::size_t min_samples_leaf = 1;
   // Number of feature candidates per split; 0 = sqrt(feature count).
   std::size_t max_features = 0;
-  SplitFinder split_finder = SplitFinder::kAuto;
-};
-
-// Serialization encoding for trained models (see analysis/model_io.h for
-// the header that sits in front of detector-level streams). Text is the
-// historical human-readable format and stays loadable forever; binary is
-// the fast path for forest-sized models (fixed-width little-endian node
-// records instead of decimal round-trips). Loaders auto-detect from the
-// per-component magic, so either encoding reads back transparently.
-enum class ModelEncoding : std::uint8_t {
-  kText,
-  kBinary,
 };
 
 class DecisionTree {
  public:
   // One node of the fitted tree. Kept public (it is plain data) so the
-  // compiled inference fast path (compiled_forest.h) can flatten the
-  // node table without re-walking predictions through this class.
+  // compiled predictor (compiled_forest.h) can flatten the node table.
   struct TreeNode {
     std::int32_t feature = -1;       // -1 for leaves
     float threshold = 0.0f;          // go left when value <= threshold
@@ -86,37 +55,31 @@ class DecisionTree {
            std::span<const std::size_t> indices, const TreeParams& params,
            Rng& rng);
 
-  // Probability of the positive class.
-  double predict(std::span<const float> row) const;
-
   std::size_t node_count() const { return nodes_.size(); }
   std::size_t depth() const { return depth_; }
   std::size_t feature_count() const { return feature_count_; }
 
   // Fitted node table (root = index 0; internal nodes precede their
-  // subtrees). Read-only view for flattening/inspection.
+  // subtrees, so both children of node i sit at indices > i). Read-only
+  // view for flattening/inspection.
   std::span<const TreeNode> nodes() const { return nodes_; }
 
   // Accumulates impurity-decrease feature importances into `out`
   // (size = feature count).
   void add_feature_importance(std::vector<double>& out) const;
 
-  // Text serialization (whitespace-separated; version-checked by the
-  // forest wrapper).
+  // Binary serialization: raw little-endian node records, framed by the
+  // forest wrapper's versioned magic. load() throws ModelError on
+  // truncation or on a node count larger than the bytes left in the
+  // stream; the node table's structure is validated when the forest is
+  // compiled (CompiledForest::compile).
   void save(std::ostream& out) const;
   void load(std::istream& in);
-
-  // Binary serialization: raw little-endian node records (much faster
-  // than the decimal text round-trip for forest-sized models). Framed by
-  // the forest wrapper's versioned magic; throws ModelError on
-  // truncation.
-  void save_binary(std::ostream& out) const;
-  void load_binary(std::istream& in);
 
  private:
   // Per-fit scratch for split finding (freed when fit returns). The
   // presorted columns are computed lazily — a feature pays its one-time
-  // O(N log N) sort only when the auto/presorted policy first consults it.
+  // O(N log N) sort only when a large node first consults it.
   struct SplitScratch {
     // Per feature: the tree's bootstrap row ids (one entry per slot,
     // duplicates included) ordered by (feature value, label). Empty until

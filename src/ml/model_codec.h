@@ -1,12 +1,10 @@
-// Binary stream primitives for the versioned model encodings.
+// Binary stream primitives for the model encoding.
 //
-// The text serialization (whitespace-separated decimals, lossless float
-// round-trip via precision(17)) stays the readable interchange format;
-// the binary encoding exists because formatting/parsing ~20 bytes of
-// node as ~60 bytes of decimal text dominates save/load for forest-sized
-// models. Fixed-width little-endian fields, no alignment padding. Every
-// reader throws ModelError on truncation, so a corrupt or mis-tagged
-// stream fails loudly instead of yielding a half-loaded model.
+// Fixed-width little-endian fields, no alignment padding. Every reader
+// throws ModelError on truncation, and every count is checked against
+// the bytes left in the stream before it sizes an allocation, so a
+// corrupt or mis-tagged stream fails loudly instead of yielding a
+// half-loaded model or an unbounded allocation.
 #pragma once
 
 #include <bit>
@@ -15,6 +13,7 @@
 #include <istream>
 #include <ostream>
 #include <span>
+#include <string>
 
 #include "support/error.h"
 
@@ -50,6 +49,25 @@ void read_array(std::istream& in, std::span<T> values, const char* what) {
                static_cast<std::streamsize>(values.size() * sizeof(T)))) {
     throw ModelError(std::string("model load: truncated binary stream (") +
                      what + ")");
+  }
+}
+
+// Throws ModelError unless `count` records of at least `record_bytes`
+// each fit in the rest of the stream. Streams that cannot report their
+// position (pipes) are not bounded here; their reads still fail on
+// truncation.
+inline void check_count(std::istream& in, std::uint64_t count,
+                        std::uint64_t record_bytes, const char* what) {
+  const std::istream::pos_type here = in.tellg();
+  if (here == std::istream::pos_type(-1)) return;
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.seekg(here);
+  const auto remaining = static_cast<std::uint64_t>(end - here);
+  if (count > remaining / record_bytes) {
+    throw ModelError(std::string("model load: ") + what + " " +
+                     std::to_string(count) + " exceeds the " +
+                     std::to_string(remaining) + " bytes left in the stream");
   }
 }
 

@@ -1,10 +1,9 @@
 #include "ml/multilabel.h"
 
-#include <algorithm>
 #include <istream>
-#include <numeric>
 #include <ostream>
 
+#include "ml/model_codec.h"
 #include "support/error.h"
 
 namespace jst::ml {
@@ -34,45 +33,6 @@ std::vector<std::uint8_t> label_column(const LabelMatrix& labels,
 
 }  // namespace
 
-std::vector<std::size_t> MultiLabelClassifier::predict_set(
-    std::span<const float> row, double threshold) const {
-  const std::vector<double> probabilities = predict_proba(row);
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < probabilities.size(); ++i) {
-    if (probabilities[i] >= threshold) out.push_back(i);
-  }
-  return out;
-}
-
-std::vector<std::size_t> MultiLabelClassifier::predict_topk(
-    std::span<const float> row, std::size_t k) const {
-  const std::vector<double> probabilities = predict_proba(row);
-  std::vector<std::size_t> order(probabilities.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return probabilities[a] > probabilities[b];
-                   });
-  order.resize(std::min(k, order.size()));
-  return order;
-}
-
-std::vector<std::size_t> MultiLabelClassifier::predict_topk_thresholded(
-    std::span<const float> row, std::size_t k, double threshold) const {
-  const std::vector<double> probabilities = predict_proba(row);
-  std::vector<std::size_t> order(probabilities.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return probabilities[a] > probabilities[b];
-                   });
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < order.size() && out.size() < k; ++i) {
-    if (probabilities[order[i]] >= threshold) out.push_back(order[i]);
-  }
-  return out;
-}
-
 void BinaryRelevance::fit(const Matrix& data, const LabelMatrix& labels,
                           const ForestParams& params, Rng& rng) {
   const std::size_t label_count = validate(data, labels);
@@ -82,16 +42,6 @@ void BinaryRelevance::fit(const Matrix& data, const LabelMatrix& labels,
     const std::vector<std::uint8_t> column = label_column(labels, j);
     forests_[j].fit(data, column, params, rng);
   }
-}
-
-std::vector<double> BinaryRelevance::predict_proba(
-    std::span<const float> row) const {
-  if (forests_.empty()) throw ModelError("BinaryRelevance: predict before fit");
-  std::vector<double> out(forests_.size());
-  for (std::size_t j = 0; j < forests_.size(); ++j) {
-    out[j] = forests_[j].predict_proba(row);
-  }
-  return out;
 }
 
 void ClassifierChain::fit(const Matrix& data, const LabelMatrix& labels,
@@ -115,30 +65,15 @@ void ClassifierChain::fit(const Matrix& data, const LabelMatrix& labels,
   }
 }
 
-std::vector<double> ClassifierChain::predict_proba(
-    std::span<const float> row) const {
-  if (forests_.empty()) throw ModelError("ClassifierChain: predict before fit");
-  std::vector<double> out(forests_.size());
-  std::vector<float> extended(row.begin(), row.end());
-  for (std::size_t j = 0; j < forests_.size(); ++j) {
-    out[j] = forests_[j].predict_proba(extended);
-    if (j + 1 < forests_.size()) {
-      extended.push_back(out[j] >= chain_threshold_ ? 1.0f : 0.0f);
-    }
-  }
-  return out;
-}
-
-}  // namespace jst::ml
-
-namespace jst::ml {
-
 namespace {
 
+// Each serialized forest is at least its two u64 header fields.
+constexpr std::uint64_t kMinForestBytes = 2 * sizeof(std::uint64_t);
+
 void save_forests(const std::vector<RandomForest>& forests, const char* tag,
-                  std::ostream& out, ModelEncoding encoding) {
+                  std::ostream& out) {
   out << tag << ' ' << forests.size() << '\n';
-  for (const RandomForest& forest : forests) forest.save(out, encoding);
+  for (const RandomForest& forest : forests) forest.save(out);
 }
 
 void load_forests(std::vector<RandomForest>& forests, const char* tag,
@@ -148,22 +83,23 @@ void load_forests(std::vector<RandomForest>& forests, const char* tag,
   if (!(in >> magic >> count) || magic != tag) {
     throw ModelError(std::string("multilabel load: expected ") + tag);
   }
+  codec::check_count(in, count, kMinForestBytes, "forest count");
   forests.assign(count, RandomForest{});
   for (RandomForest& forest : forests) forest.load(in);
 }
 
 }  // namespace
 
-void BinaryRelevance::save(std::ostream& out, ModelEncoding encoding) const {
-  save_forests(forests_, "binary-relevance", out, encoding);
+void BinaryRelevance::save(std::ostream& out) const {
+  save_forests(forests_, "binary-relevance", out);
 }
 
 void BinaryRelevance::load(std::istream& in) {
   load_forests(forests_, "binary-relevance", in);
 }
 
-void ClassifierChain::save(std::ostream& out, ModelEncoding encoding) const {
-  save_forests(forests_, "classifier-chain", out, encoding);
+void ClassifierChain::save(std::ostream& out) const {
+  save_forests(forests_, "classifier-chain", out);
 }
 
 void ClassifierChain::load(std::istream& in) {

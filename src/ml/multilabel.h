@@ -7,6 +7,9 @@
 //  - classifier chain: classifier at position P additionally receives the
 //    labels of positions [0, P-1] as features (ground truth at training
 //    time, thresholded predictions at inference time).
+//
+// These classes fit, introspect and serialize; predictions run through
+// CompiledEnsemble (compiled_forest.h), which applies the chain rule.
 #pragma once
 
 #include <cstdint>
@@ -29,53 +32,30 @@ class MultiLabelClassifier {
   virtual void fit(const Matrix& data, const LabelMatrix& labels,
                    const ForestParams& params, Rng& rng) = 0;
 
-  // Per-label positive probability (independent scores; they do not sum
-  // to 1 — the paper leans on this for its confidence-threshold analysis).
-  virtual std::vector<double> predict_proba(
-      std::span<const float> row) const = 0;
-
   virtual std::size_t label_count() const = 0;
 
-  // Introspection for the compiled inference fast path
-  // (ml/compiled_forest.h): the fitted per-label forests and the chain
-  // rule parameters. `chained()` is true when position P's forest expects
-  // the thresholded predictions of positions [0, P-1] appended to the row.
+  // Introspection for the compiled predictor (ml/compiled_forest.h): the
+  // fitted per-label forests and the chain rule parameters. `chained()`
+  // is true when position P's forest expects the thresholded predictions
+  // of positions [0, P-1] appended to the row.
   virtual std::span<const RandomForest> forests() const = 0;
   virtual bool chained() const = 0;
   virtual double chain_threshold() const { return 0.5; }
 
-  // Serialization of the trained per-label forests; the encoding picks
-  // text (historical, human-readable) or binary per-forest payloads.
-  // load() auto-detects, so files written by either encoding read back.
-  virtual void save(std::ostream& out,
-                    ModelEncoding encoding = ModelEncoding::kText) const = 0;
+  // Serialization of the trained per-label forests (a tagged count, then
+  // one binary forest payload per label).
+  virtual void save(std::ostream& out) const = 0;
   virtual void load(std::istream& in) = 0;
-
-  // Labels with probability >= threshold.
-  std::vector<std::size_t> predict_set(std::span<const float> row,
-                                       double threshold = 0.5) const;
-
-  // Indices of the k most probable labels, most probable first.
-  std::vector<std::size_t> predict_topk(std::span<const float> row,
-                                        std::size_t k) const;
-
-  // Top-k restricted to labels whose probability clears `threshold`
-  // (the paper's final level-2 decision rule, threshold = 0.10).
-  std::vector<std::size_t> predict_topk_thresholded(std::span<const float> row,
-                                                    std::size_t k,
-                                                    double threshold) const;
 };
 
 class BinaryRelevance final : public MultiLabelClassifier {
  public:
   void fit(const Matrix& data, const LabelMatrix& labels,
            const ForestParams& params, Rng& rng) override;
-  std::vector<double> predict_proba(std::span<const float> row) const override;
   std::size_t label_count() const override { return forests_.size(); }
   std::span<const RandomForest> forests() const override { return forests_; }
   bool chained() const override { return false; }
-  void save(std::ostream& out,
-            ModelEncoding encoding = ModelEncoding::kText) const override;
+  void save(std::ostream& out) const override;
   void load(std::istream& in) override;
 
  private:
@@ -86,13 +66,11 @@ class ClassifierChain final : public MultiLabelClassifier {
  public:
   void fit(const Matrix& data, const LabelMatrix& labels,
            const ForestParams& params, Rng& rng) override;
-  std::vector<double> predict_proba(std::span<const float> row) const override;
   std::size_t label_count() const override { return forests_.size(); }
   std::span<const RandomForest> forests() const override { return forests_; }
   bool chained() const override { return true; }
   double chain_threshold() const override { return chain_threshold_; }
-  void save(std::ostream& out,
-            ModelEncoding encoding = ModelEncoding::kText) const override;
+  void save(std::ostream& out) const override;
   void load(std::istream& in) override;
 
  private:

@@ -47,32 +47,18 @@ void RandomForest::fit(const Matrix& data, std::span<const std::uint8_t> labels,
       });
 }
 
-double RandomForest::predict_proba(std::span<const float> row) const {
-  if (trees_.empty()) throw ModelError("RandomForest::predict before fit");
-  double total = 0.0;
-  for (const DecisionTree& tree : trees_) total += tree.predict(row);
-  return total / static_cast<double>(trees_.size());
-}
-
 namespace {
-// v1: whitespace-separated text (the original format, still written by
-// ModelEncoding::kText and always readable). v2b: binary node records
-// framed by the same magic convention; the tag line ends in '\n' so the
+// Tag line in front of the binary payload; it ends in '\n' so the
 // payload starts at an exact byte offset.
-constexpr const char* kForestMagic = "jstraced-forest-v1";
-constexpr const char* kForestMagicBinary = "jstraced-forest-v2b";
-}
+constexpr const char* kForestMagic = "jstraced-forest-v2b";
+// Each serialized tree is at least its three u64 header fields.
+constexpr std::uint64_t kMinTreeBytes = 3 * sizeof(std::uint64_t);
+}  // namespace
 
-void RandomForest::save(std::ostream& out, ModelEncoding encoding) const {
-  if (encoding == ModelEncoding::kBinary) {
-    out << kForestMagicBinary << '\n';
-    codec::write_u64(out, trees_.size());
-    codec::write_u64(out, feature_count_);
-    for (const DecisionTree& tree : trees_) tree.save_binary(out);
-    return;
-  }
+void RandomForest::save(std::ostream& out) const {
   out << kForestMagic << '\n';
-  out << trees_.size() << ' ' << feature_count_ << '\n';
+  codec::write_u64(out, trees_.size());
+  codec::write_u64(out, feature_count_);
   for (const DecisionTree& tree : trees_) tree.save(out);
 }
 
@@ -81,24 +67,16 @@ void RandomForest::load(std::istream& in) {
   if (!(in >> magic)) {
     throw ModelError("RandomForest::load: empty or truncated stream");
   }
-  if (magic == kForestMagicBinary) {
-    codec::skip_separator(in);
-    const std::uint64_t count = codec::read_u64(in, "forest tree count");
-    feature_count_ =
-        static_cast<std::size_t>(codec::read_u64(in, "forest feature count"));
-    trees_.assign(static_cast<std::size_t>(count), DecisionTree{});
-    for (DecisionTree& tree : trees_) tree.load_binary(in);
-    return;
-  }
   if (magic != kForestMagic) {
     throw ModelError("RandomForest::load: unrecognized format (magic \"" +
                      magic + "\")");
   }
-  std::size_t count = 0;
-  if (!(in >> count >> feature_count_)) {
-    throw ModelError("RandomForest::load: bad header");
-  }
-  trees_.assign(count, DecisionTree{});
+  codec::skip_separator(in);
+  const std::uint64_t count = codec::read_u64(in, "forest tree count");
+  feature_count_ =
+      static_cast<std::size_t>(codec::read_u64(in, "forest feature count"));
+  codec::check_count(in, count, kMinTreeBytes, "forest tree count");
+  trees_.assign(static_cast<std::size_t>(count), DecisionTree{});
   for (DecisionTree& tree : trees_) tree.load(in);
 }
 

@@ -1,5 +1,6 @@
 // Random forest (bagged CART trees) for binary classification, mirroring
-// the scikit-learn estimator the paper uses.
+// the scikit-learn estimator the paper uses. Predictions run through
+// CompiledForest (compiled_forest.h).
 #pragma once
 
 #include <cstdint>
@@ -29,13 +30,6 @@ class RandomForest {
   void fit(const Matrix& data, std::span<const std::uint8_t> labels,
            const ForestParams& params, Rng& rng);
 
-  // Averaged positive-class probability across trees.
-  double predict_proba(std::span<const float> row) const;
-
-  bool predict(std::span<const float> row, double threshold = 0.5) const {
-    return predict_proba(row) >= threshold;
-  }
-
   bool trained() const { return !trees_.empty(); }
   std::size_t tree_count() const { return trees_.size(); }
   std::size_t feature_count() const { return feature_count_; }
@@ -46,13 +40,11 @@ class RandomForest {
   // Normalized Gini feature importances (sums to 1 unless all zero).
   std::vector<double> feature_importance() const;
 
-  // Serialization: save a trained forest, load it back without
-  // retraining. The encoding picks the on-disk format (text = the
-  // historical v1 human-readable form; binary = fixed-width node records,
-  // much faster for large models). load() auto-detects from the magic, so
-  // old text files keep loading. Throws ModelError on format mismatch.
-  void save(std::ostream& out, ModelEncoding encoding = ModelEncoding::kText)
-      const;
+  // Serialization: save a trained forest as fixed-width binary node
+  // records behind the "jstraced-forest-v2b" magic, load it back without
+  // retraining. load() throws ModelError on a foreign magic, truncation,
+  // or a tree count larger than the bytes left in the stream.
+  void save(std::ostream& out) const;
   void load(std::istream& in);
 
  private:

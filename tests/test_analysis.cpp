@@ -347,12 +347,20 @@ TEST(Detector, SaveLoadRoundTripAndMismatchDiagnostics) {
   config.forest.tree_count = 3;
   config.features.ngram.hash_dim = 64;
 
+  // Rows span the configured feature space (the model header records its
+  // width, and load checks every forest against it); only the first
+  // three columns carry signal.
+  const std::size_t width = features::feature_dimension(config.features);
   Rng data_rng(11);
   std::vector<std::vector<float>> rows;
   ml::LabelMatrix labels;
   for (int i = 0; i < 24; ++i) {
     const float a = static_cast<float>(data_rng.uniform());
-    rows.push_back({a, 1.0f - a, static_cast<float>(data_rng.uniform())});
+    std::vector<float> row(width, 0.0f);
+    row[0] = a;
+    row[1] = 1.0f - a;
+    row[2] = static_cast<float>(data_rng.uniform());
+    rows.push_back(std::move(row));
     const std::uint8_t transformed = a > 0.5f ? 1 : 0;
     labels.push_back({static_cast<std::uint8_t>(1 - transformed), transformed,
                       0});
@@ -382,6 +390,19 @@ TEST(Detector, SaveLoadRoundTripAndMismatchDiagnostics) {
   detector.save(saved3);
   expect_model_error([&] { wrong_component.load(saved3); },
                      {"component", "level1", "level2"});
+
+  // Fitting on rows narrower than the configured feature space would
+  // save a model whose header misstates its width.
+  std::vector<std::vector<float>> narrow;
+  for (const std::vector<float>& row : rows) {
+    narrow.emplace_back(row.begin(), row.begin() + 3);
+  }
+  Level1Detector misfit(config);
+  Rng misfit_rng(12);
+  const std::string configured_width = std::to_string(width);
+  expect_model_error(
+      [&] { misfit.fit(ml::Matrix{&narrow}, labels, misfit_rng); },
+      {"expects 3 features", configured_width.c_str()});
 }
 
 }  // namespace

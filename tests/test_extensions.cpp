@@ -8,6 +8,7 @@
 #include "analysis/pipeline.h"
 #include "ast/ast_json.h"
 #include "interp/interpreter.h"
+#include "ml/compiled_forest.h"
 #include "ml/random_forest.h"
 #include "parser/parser.h"
 #include "transform/transform.h"
@@ -146,11 +147,13 @@ TEST(Serialization, ForestRoundTrip) {
   ml::RandomForest restored;
   restored.load(buffer);
 
+  const ml::CompiledForest original = ml::CompiledForest::compile(forest);
+  const ml::CompiledForest reloaded = ml::CompiledForest::compile(restored);
   for (int i = 0; i < 50; ++i) {
     std::vector<float> probe = {static_cast<float>(rng.uniform()),
                                 static_cast<float>(rng.uniform())};
-    EXPECT_DOUBLE_EQ(forest.predict_proba(probe),
-                     restored.predict_proba(probe));
+    EXPECT_DOUBLE_EQ(original.predict_proba(probe),
+                     reloaded.predict_proba(probe));
   }
 }
 
