@@ -1,19 +1,15 @@
-// Lexer block-scanner microbenchmark (DESIGN.md §16).
+// Lexer throughput microbenchmark (DESIGN.md §16).
 //
-// Measures tokenize-only throughput (MB/s) per input family × scan
-// policy. The families stress different scanners: minified output is
-// punctuator-dense with long physical lines (whitespace scanner mostly
-// idle), JSFuck floods are short-token storms (runs too short for the
-// wide scanners to amortize — the interesting regression case), string-
-// heavy sources spend almost all bytes inside literal payloads (the
-// find_string_end fast path), and plain sources mix identifiers,
-// comments, and indentation (find_id_end / find_ws_end / find_line_end).
+// Measures tokenize-only throughput (MB/s) per input family. The
+// families stress different scan loops: minified output is punctuator-
+// dense with long physical lines (whitespace runs mostly idle), JSFuck
+// floods are short-token storms (per-token dispatch cost dominates),
+// string-heavy sources spend almost all bytes inside literal payloads
+// (the string payload run), and plain sources mix identifiers, comments,
+// and indentation (identifier, whitespace and line-comment runs).
 //
 // Emits BENCH_lexer.json via bench_common so the per-family trajectory
-// is recorded across PRs. Each row pins one scan policy (the `effective`
-// field records what actually ran — kSimd clamps to kSwar on targets
-// without a compiled 16-byte path); production runs match the widest
-// compiled-in row.
+// is recorded across PRs.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -22,7 +18,6 @@
 
 #include "bench_common.h"
 #include "lexer/lexer.h"
-#include "lexer/scan.h"
 #include "support/arena.h"
 #include "support/rng.h"
 #include "transform/transform.h"
@@ -83,7 +78,7 @@ Family jsfuck_family(std::size_t count) {
 }
 
 // Sources dominated by long string literals with sparse escapes — the
-// block scanner's best case, and the dirty-path run-append's worst.
+// longest payload runs, and the dirty-path run-append's worst case.
 Family string_heavy_family(std::size_t count) {
   Rng rng(0x3e4);
   std::vector<std::string> sources;
@@ -148,48 +143,27 @@ int main() {
   families.push_back(jsfuck_family(count));
   families.push_back(string_heavy_family(count));
 
-  struct PolicyRow {
-    const char* name;
-    lex::ScanPolicy policy;
-  };
-  const PolicyRow policies[] = {
-      {"scalar", lex::ScanPolicy::kScalar},
-      {"swar", lex::ScanPolicy::kSwar},
-      {"simd", lex::ScanPolicy::kSimd},
-  };
-
   std::printf("lexer throughput (tokenize only, best of 5, serial)\n");
-  std::printf("%-14s %8s %10s %10s %10s\n", "family", "bytes", "policy",
-              "wall_ms", "MB/s");
+  std::printf("%-14s %8s %10s %10s\n", "family", "bytes", "wall_ms", "MB/s");
 
   std::vector<bench::BenchRecord> records;
   for (const Family& family : families) {
-    for (const PolicyRow& row : policies) {
-      lex::ScopedScanPolicy scoped(row.policy);
-      // Report the policy the process actually ran (kSimd clamps to
-      // kSwar on targets without a compiled 16-byte path).
-      const std::string_view effective =
-          lex::scan_policy_name(lex::set_scan_policy(row.policy));
-      const double ms = measure_ms(family);
-      const double mbps =
-          static_cast<double>(family.bytes) / 1048576.0 / (ms / 1000.0);
-      std::printf("%-14s %8zu %10.*s %10.3f %10.1f\n", family.name.c_str(),
-                  family.bytes, static_cast<int>(effective.size()),
-                  effective.data(), ms, mbps);
+    const double ms = measure_ms(family);
+    const double mbps =
+        static_cast<double>(family.bytes) / 1048576.0 / (ms / 1000.0);
+    std::printf("%-14s %8zu %10.3f %10.1f\n", family.name.c_str(),
+                family.bytes, ms, mbps);
 
-      bench::BenchRecord record;
-      record.config = "family=" + family.name +
-                      " policy=" + std::string(row.name) +
-                      " effective=" + std::string(effective);
-      record.threads = 1;
-      record.scripts = family.sources.size();
-      record.wall_ms = ms;
-      record.scripts_per_second =
-          static_cast<double>(family.sources.size()) / (ms / 1000.0);
-      record.bytes = family.bytes;
-      record.mb_per_second = mbps;
-      records.push_back(std::move(record));
-    }
+    bench::BenchRecord record;
+    record.config = "family=" + family.name;
+    record.threads = 1;
+    record.scripts = family.sources.size();
+    record.wall_ms = ms;
+    record.scripts_per_second =
+        static_cast<double>(family.sources.size()) / (ms / 1000.0);
+    record.bytes = family.bytes;
+    record.mb_per_second = mbps;
+    records.push_back(std::move(record));
   }
 
   bench::write_bench_json("lexer", records);

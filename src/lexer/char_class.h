@@ -14,7 +14,7 @@
 // must route it to exactly the scan_* routine the ladder chose, so the
 // tables are cross-checked entry-by-entry against the reference
 // predicates by static_asserts in char_class.cpp and at runtime by the
-// differential suite (test_lexer_diff).
+// oracle suite (test_lexer_diff).
 #pragma once
 
 #include <array>

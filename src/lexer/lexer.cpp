@@ -1,9 +1,9 @@
 #include "lexer/lexer.h"
 
 #include <cstdlib>
+#include <vector>
 
 #include "lexer/char_class.h"
-#include "lexer/scan.h"
 
 namespace jst {
 namespace {
@@ -21,6 +21,13 @@ unsigned hex_value(char c) {
 
 std::string_view view_of(const support::ArenaVec<char>& cooked) {
   return std::string_view(cooked.data(), cooked.size());
+}
+
+// First index >= from holding a line terminator ('\n' or '\r'), or
+// `size`: the end of a line comment's body.
+std::size_t line_end(const char* data, std::size_t size, std::size_t from) {
+  while (from < size && !lex::is_line_terminator_byte(uc(data[from]))) ++from;
+  return from;
 }
 
 }  // namespace
@@ -101,10 +108,16 @@ void Lexer::skip_trivia() {
   while (pos_ < size) {
     const char c = data[pos_];
     switch (kCharClass[uc(c)]) {
-      case CharClass::kWhitespace:
+      case CharClass::kWhitespace: {
         // Inline whitespace run (never contains '\n').
-        skip_run(lex::find_ws_end(data, size, pos_ + 1) - pos_);
+        std::size_t end = pos_ + 1;
+        while (end < size &&
+               lex::has_flag(uc(data[end]), lex::kFlagWhitespace)) {
+          ++end;
+        }
+        skip_run(end - pos_);
         break;
+      }
       case CharClass::kNewline:
         newline_pending_ = true;
         advance();
@@ -114,7 +127,7 @@ void Lexer::skip_trivia() {
           // Line comment: everything up to (not including) the next
           // line terminator, counted toward comment volume.
           const std::size_t start = pos_;
-          skip_run(lex::find_line_end(data, size, pos_ + 2) - pos_);
+          skip_run(line_end(data, size, pos_ + 2) - pos_);
           ++comment_count_;
           comment_bytes_ += pos_ - start;
           break;
@@ -125,8 +138,10 @@ void Lexer::skip_trivia() {
           advance();
           bool closed = false;
           while (pos_ < size) {
-            // Skip the escape-free body to the next '*' or newline.
-            skip_run(lex::find_block_comment_end(data, size, pos_) - pos_);
+            // Skip the body to the next '*' or newline.
+            std::size_t end = pos_;
+            while (end < size && data[end] != '*' && data[end] != '\n') ++end;
+            skip_run(end - pos_);
             if (pos_ >= size) break;
             if (data[pos_] == '\n') {
               newline_pending_ = true;
@@ -150,7 +165,7 @@ void Lexer::skip_trivia() {
         if (c == '<' && peek(1) == '!' && peek(2) == '-' && peek(3) == '-') {
           // HTML-style open comment: skip to end of line (legacy web JS).
           const std::size_t start = pos_;
-          skip_run(lex::find_line_end(data, size, pos_ + 4) - pos_);
+          skip_run(line_end(data, size, pos_ + 4) - pos_);
           ++comment_count_;
           comment_bytes_ += pos_ - start;
           break;
@@ -259,11 +274,14 @@ Token Lexer::scan_identifier_or_keyword() {
   // escape makes the cooked name differ, at which point the prefix is
   // copied into the arena and cooking continues there. Identifier
   // continuation bytes (ASCII id-part plus >= 0x80 UTF-8 passthrough)
-  // are consumed as block-scanned runs.
+  // are consumed as whole runs.
   support::ArenaVec<char> cooked(*arena_);
   bool dirty = false;
   while (true) {
-    const std::size_t run_end = lex::find_id_end(data, size, pos_);
+    std::size_t run_end = pos_;
+    while (run_end < size && lex::is_id_part_byte(uc(data[run_end]))) {
+      ++run_end;
+    }
     if (dirty && run_end > pos_) cooked.append(data + pos_, run_end - pos_);
     skip_run(run_end - pos_);
     if (pos_ >= size || data[pos_] != '\\' || peek(1) != 'u') break;
@@ -389,13 +407,18 @@ Token Lexer::scan_string(char quote) {
   // the quotes until the first backslash; from there the prefix is copied
   // into the arena and escapes decode into the copy. The escape-free
   // payload spans between interesting bytes (quote, backslash, newline)
-  // are block-scanned — for the common no-escape literal the scanner
-  // finds the closing quote in one pass and the value stays a view.
+  // are skipped as whole runs — for the common no-escape literal one run
+  // reaches the closing quote and the value stays a view.
   const std::size_t content_start = pos_;
   support::ArenaVec<char> cooked(*arena_);
   bool dirty = false;
   while (true) {
-    const std::size_t stop = lex::find_string_end(data, size, pos_, quote);
+    std::size_t stop = pos_;
+    while (stop < size) {
+      const char c = data[stop];
+      if (c == quote || c == '\\' || c == '\n' || c == '\r') break;
+      ++stop;
+    }
     if (dirty && stop > pos_) cooked.append(data + pos_, stop - pos_);
     skip_run(stop - pos_);
     if (pos_ >= size) fail("unterminated string literal");
@@ -500,15 +523,19 @@ Token Lexer::scan_template() {
   advance();  // opening backtick
 
   // Quasis are always verbatim source slices (escapes are kept raw);
-  // substitution expressions are slices too unless a comment inside was
-  // skipped, which switches that expression to arena-cooked copying.
-  // Quasi text between interesting bytes ('`', '\', '$', '\n') is
-  // block-scanned; the balanced substitution scan stays scalar.
+  // substitution expressions come from scan_substitution(). Quasi text
+  // between interesting bytes ('`', '\', '$', '\n') is skipped as a run.
   support::ArenaVec<std::string_view> quasis(*arena_);
   support::ArenaVec<std::string_view> expressions(*arena_);
   std::size_t chunk_start = pos_;
   while (true) {
-    skip_run(lex::find_template_end(data, size, pos_) - pos_);
+    std::size_t end = pos_;
+    while (end < size) {
+      const char c = data[end];
+      if (c == '`' || c == '\\' || c == '$' || c == '\n') break;
+      ++end;
+    }
+    skip_run(end - pos_);
     if (pos_ >= size) fail("unterminated template literal");
     const char c = advance();
     if (c == '`') {
@@ -520,90 +547,14 @@ Token Lexer::scan_template() {
       advance();
       continue;
     }
-    if (c == '\n') continue;  // advance() already tracked the line
     if (c == '$' && peek() == '{') {
       quasis.push_back(slice(chunk_start, pos_ - 1));
       advance();  // '{'
-      // Balanced scan of the substitution expression, skipping over nested
-      // strings, templates, and comments so their braces do not count.
-      const std::size_t expr_start = pos_;
-      support::ArenaVec<char> cooked(*arena_);
-      bool dirty = false;
-      int depth = 1;
-      while (depth > 0) {
-        if (eof()) fail("unterminated template substitution");
-        char e = advance();
-        if (e == '{') {
-          ++depth;
-          if (dirty) cooked.push_back(e);
-        } else if (e == '}') {
-          --depth;
-          if (depth > 0 && dirty) cooked.push_back(e);
-        } else if (e == '"' || e == '\'') {
-          if (dirty) cooked.push_back(e);
-          while (true) {
-            if (eof()) fail("unterminated string in template substitution");
-            char s = advance();
-            if (dirty) cooked.push_back(s);
-            if (s == '\\') {
-              if (eof()) fail("unterminated escape");
-              const char esc = advance();
-              if (dirty) cooked.push_back(esc);
-            } else if (s == e) {
-              break;
-            }
-          }
-        } else if (e == '`') {
-          // Nested template: balanced scan with its own substitution depth.
-          if (dirty) cooked.push_back(e);
-          int nested_subst = 0;
-          while (true) {
-            if (eof()) fail("unterminated nested template");
-            char t = advance();
-            if (dirty) cooked.push_back(t);
-            if (t == '\\') {
-              if (eof()) fail("unterminated escape");
-              const char esc = advance();
-              if (dirty) cooked.push_back(esc);
-            } else if (t == '$' && peek() == '{') {
-              const char brace = advance();
-              if (dirty) cooked.push_back(brace);
-              ++nested_subst;
-            } else if (t == '}' && nested_subst > 0) {
-              --nested_subst;
-            } else if (t == '`' && nested_subst == 0) {
-              break;
-            }
-          }
-        } else if (e == '/' && peek() == '/') {
-          // Comment bytes are dropped from the expression, so the cooked
-          // text diverges from the slice here.
-          if (!dirty) {
-            cooked.append(data + expr_start, (pos_ - 1) - expr_start);
-            dirty = true;
-          }
-          skip_run(lex::find_line_end(data, size, pos_) - pos_);
-        } else if (e == '/' && peek() == '*') {
-          if (!dirty) {
-            cooked.append(data + expr_start, (pos_ - 1) - expr_start);
-            dirty = true;
-          }
-          advance();
-          while (!eof() && !(peek() == '*' && peek(1) == '/')) advance();
-          if (!eof()) {
-            advance();
-            advance();
-          }
-        } else {
-          if (dirty) cooked.push_back(e);
-        }
-      }
-      expressions.push_back(dirty ? view_of(cooked)
-                                  : slice(expr_start, pos_ - 1));
+      expressions.push_back(scan_substitution());
       chunk_start = pos_;
     }
-    // A '$' not followed by '{' is plain quasi text: fall through and
-    // let the next block scan resume after it.
+    // A newline was tracked by advance(); a '$' not followed by '{' is
+    // plain quasi text.
   }
 
   Token token =
@@ -614,6 +565,88 @@ Token Lexer::scan_template() {
   token.template_quasis =
       std::span<const std::string_view>(quasis.data(), quasis.size());
   return token;
+}
+
+std::string_view Lexer::scan_substitution() {
+  const char* data = source_.data();
+  const std::size_t size = source_.size();
+  const std::size_t expr_start = pos_;
+  // Comment bytes are dropped from the expression: from the first
+  // comment on, the text is copied into `cooked` up to each comment and
+  // resumed at `copy_from` after it.
+  support::ArenaVec<char> cooked(*arena_);
+  bool dirty = false;
+  std::size_t copy_from = expr_start;
+  // Nesting state, kept in one loop because untrusted input chooses the
+  // depth. Substitutions and nested templates alternate, so the levels
+  // are: the open '{' count of the innermost substitution, the counts of
+  // the substitutions enclosing it, and whether the scan is in the text
+  // of a template nested in that innermost substitution.
+  std::size_t braces = 0;
+  std::vector<std::size_t> enclosing;
+  bool in_quasi = false;
+  while (true) {
+    if (eof()) {
+      fail(in_quasi ? "unterminated nested template"
+                    : "unterminated template substitution");
+    }
+    const char c = advance();
+    if (in_quasi) {
+      if (c == '\\') {
+        if (eof()) fail("unterminated escape");
+        advance();
+      } else if (c == '`') {
+        in_quasi = false;
+      } else if (c == '$' && peek() == '{') {
+        advance();
+        enclosing.push_back(braces);
+        braces = 0;
+        in_quasi = false;
+      }
+    } else if (c == '{') {
+      ++braces;
+    } else if (c == '}') {
+      if (braces > 0) {
+        --braces;
+      } else if (enclosing.empty()) {
+        break;
+      } else {
+        braces = enclosing.back();
+        enclosing.pop_back();
+        in_quasi = true;
+      }
+    } else if (c == '`') {
+      in_quasi = true;
+    } else if (c == '"' || c == '\'') {
+      while (true) {
+        if (eof()) fail("unterminated string in template substitution");
+        const char s = advance();
+        if (s == '\\') {
+          if (eof()) fail("unterminated escape");
+          advance();
+        } else if (s == c) {
+          break;
+        }
+      }
+    } else if (c == '/' && (peek() == '/' || peek() == '*')) {
+      cooked.append(data + copy_from, (pos_ - 1) - copy_from);
+      dirty = true;
+      if (peek() == '/') {
+        skip_run(line_end(data, size, pos_) - pos_);
+      } else {
+        advance();
+        while (!eof() && !(peek() == '*' && peek(1) == '/')) advance();
+        if (!eof()) {
+          advance();
+          advance();
+        }
+      }
+      copy_from = pos_;
+    }
+  }
+  if (!dirty) return slice(expr_start, pos_ - 1);
+  cooked.append(data + copy_from, (pos_ - 1) - copy_from);
+  return view_of(cooked);
 }
 
 Token Lexer::scan_regex() {
@@ -643,7 +676,7 @@ Token Lexer::scan_regex() {
   const std::string_view pattern = slice(pattern_start, pos_ - 1);
   const std::size_t flags_start = pos_;
   // Flags are ASCII id-part only (no >= 0x80 passthrough, unlike
-  // identifier tails), so this stays a short scalar loop.
+  // identifier tails).
   while (!eof() && uc(peek()) < 0x80 && lex::is_id_part_byte(uc(peek()))) {
     advance();
   }

@@ -13,11 +13,8 @@
 // on a 256-entry character-class table (lexer/char_class.h) instead of a
 // predicate ladder, and the long homogeneous runs obfuscated code is
 // full of — identifier floods, escape-free string/template payloads,
-// whitespace walls, comment bodies — are skipped by SWAR/SIMD block
-// scanners (lexer/scan.h) that only locate the next interesting byte.
-// All classification, line/column bookkeeping, budget charging, and
-// error reporting stay in the scalar code, so the token stream is
-// bit-identical under every scan policy.
+// whitespace walls, comment bodies — are skipped by tight byte loops
+// over the same tables, with one line/column update per run.
 //
 // Tokens are zero-copy: payload views point into the caller's `source`
 // buffer (which must stay alive and unmoved for as long as the tokens
@@ -67,8 +64,8 @@ class Lexer {
   bool eof(std::size_t ahead = 0) const;
   char advance();
   bool match(char expected);
-  // Skips `count` bytes known to contain no '\n' (block-scanned runs):
-  // one position and one column add instead of per-byte advance() calls.
+  // Skips `count` bytes known to contain no '\n' (a scanned run): one
+  // position and one column add instead of per-byte advance() calls.
   void skip_run(std::size_t count);
   [[noreturn]] void fail(const std::string& message) const;
   // View of source_[begin, end).
@@ -84,6 +81,14 @@ class Lexer {
   Token scan_number();
   Token scan_string(char quote);
   Token scan_template();
+  // Scans one substitution of the template being lexed, from just past
+  // its "${" through the matching '}', and returns the expression text: a
+  // source slice, or an arena copy when a comment inside was dropped.
+  // Templates nested in the expression stay part of that text (the parser
+  // re-lexes it), skipped with their own quasis and substitutions so that
+  // braces in arrow bodies and object literals balance and braces in
+  // quasi text never count.
+  std::string_view scan_substitution();
   Token scan_regex();
   Token scan_punctuator();
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "lexer/lexer.h"
 
 namespace jst {
@@ -108,6 +110,27 @@ TEST(Lexer, TemplateWithStringContainingBrace) {
   ASSERT_EQ(tokens.size(), 1u);
   ASSERT_EQ(tokens[0].template_expressions.size(), 1u);
   EXPECT_EQ(tokens[0].template_expressions[0], " f(\"}\") ");
+}
+
+TEST(Lexer, TemplateNestedSubstitutions) {
+  // Nested levels balance braces, skip strings and escapes whole, and
+  // drop comments like the outermost substitution does.
+  const std::pair<std::string_view, std::string_view> cases[] = {
+      {"`a${`b${ {c: 1}.c }`}`", "`b${ {c: 1}.c }`"},
+      {"`a${`b${\"}\"}`}`", "`b${\"}\"}`"},
+      {"`a${`\\`${'{'}`}`", "`\\`${'{'}`"},
+      {"`a${`b${x /* } */}`}`", "`b${x }`"},
+      {"`a${x // }\n}`", "x \n"},
+  };
+  for (const auto& [source, expression] : cases) {
+    const auto tokens = lex(source);
+    ASSERT_EQ(tokens.size(), 1u) << source;
+    ASSERT_EQ(tokens[0].template_expressions.size(), 1u) << source;
+    EXPECT_EQ(tokens[0].template_expressions[0], expression) << source;
+  }
+  EXPECT_THROW(lex("`a${`b"), ParseError);
+  EXPECT_THROW(lex("`a${`b${c"), ParseError);
+  EXPECT_THROW(lex("`a${`b${c}`"), ParseError);
 }
 
 TEST(Lexer, RegexAfterOperator) {

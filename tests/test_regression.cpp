@@ -6,6 +6,7 @@
 #include "ast/walk.h"
 #include "codegen/codegen.h"
 #include "interp/interpreter.h"
+#include "lexer/lexer.h"
 #include "cfg/cfg.h"
 #include "dataflow/dataflow.h"
 #include "parser/parser.h"
@@ -25,6 +26,36 @@ void expect_stable(std::string_view source) {
   const std::string compact = to_minified_source(first.ast.root());
   EXPECT_EQ(kinds(source), kinds(pretty)) << pretty;
   EXPECT_EQ(kinds(source), kinds(compact)) << compact;
+}
+
+// Quasis and substitution expressions of the first template token in
+// `source`.
+struct TemplateParts {
+  std::vector<std::string> quasis;
+  std::vector<std::string> expressions;
+};
+
+TemplateParts first_template(std::string_view source) {
+  support::Arena arena;
+  Lexer lexer(source, arena);
+  TemplateParts parts;
+  for (Token token = lexer.next(); token.type != TokenType::kEndOfFile;
+       token = lexer.next()) {
+    if (token.type != TokenType::kTemplate) continue;
+    parts.quasis.assign(token.template_quasis.begin(),
+                        token.template_quasis.end());
+    parts.expressions.assign(token.template_expressions.begin(),
+                             token.template_expressions.end());
+    return parts;
+  }
+  ADD_FAILURE() << "no template token in " << source;
+  return parts;
+}
+
+std::size_t count_kind(std::string_view source, NodeKind kind) {
+  std::size_t count = 0;
+  for (const NodeKind k : kinds(source)) count += k == kind ? 1 : 0;
+  return count;
 }
 
 std::string interp_one(std::string_view source) {
@@ -106,6 +137,40 @@ TEST(Regression, StringWithBothQuoteKinds) {
 
 TEST(Regression, TemplateWithBackslashes) {
   expect_stable(R"(var s = `a\n${x}\t`; )");
+}
+
+TEST(Regression, NestedTemplateWithArrowBody) {
+  // The '{' of the arrow body must balance its '}' inside the innermost
+  // substitution, not close it.
+  const std::string source = "let t = `a${`b${`c${() => {}}`}`}`;";
+  using Strings = std::vector<std::string>;
+  TemplateParts outer = first_template(source);
+  EXPECT_EQ(outer.quasis, (Strings{"a", ""}));
+  EXPECT_EQ(outer.expressions, (Strings{"`b${`c${() => {}}`}`"}));
+  TemplateParts middle = first_template(outer.expressions[0]);
+  EXPECT_EQ(middle.quasis, (Strings{"b", ""}));
+  EXPECT_EQ(middle.expressions, (Strings{"`c${() => {}}`"}));
+  TemplateParts inner = first_template(middle.expressions[0]);
+  EXPECT_EQ(inner.quasis, (Strings{"c", ""}));
+  EXPECT_EQ(inner.expressions, (Strings{"() => {}"}));
+  EXPECT_EQ(count_kind(source, NodeKind::kTemplateLiteral), 3u);
+  EXPECT_EQ(count_kind(source, NodeKind::kArrowFunctionExpression), 1u);
+}
+
+TEST(Regression, NestedTemplateWithBraceInQuasi) {
+  // A '}' in the text of a nested template closes nothing.
+  const std::string source = "let t = `a${`b${`}`}`}`;";
+  using Strings = std::vector<std::string>;
+  TemplateParts outer = first_template(source);
+  EXPECT_EQ(outer.quasis, (Strings{"a", ""}));
+  EXPECT_EQ(outer.expressions, (Strings{"`b${`}`}`"}));
+  TemplateParts middle = first_template(outer.expressions[0]);
+  EXPECT_EQ(middle.quasis, (Strings{"b", ""}));
+  EXPECT_EQ(middle.expressions, (Strings{"`}`"}));
+  TemplateParts inner = first_template(middle.expressions[0]);
+  EXPECT_EQ(inner.quasis, (Strings{"}"}));
+  EXPECT_TRUE(inner.expressions.empty());
+  EXPECT_EQ(count_kind(source, NodeKind::kTemplateLiteral), 3u);
 }
 
 TEST(Regression, RegexThenDivision) {
