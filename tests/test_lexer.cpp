@@ -7,12 +7,24 @@
 namespace jst {
 namespace {
 
-std::vector<Token> lex(std::string_view source) {
-  // Token payload views must outlive the returned vector, so the cooked
-  // storage lives in a test-lifetime arena. Source text is a string
-  // literal (static storage), so slice-backed payloads are always safe.
+// Token payload views must outlive the returned vector, so the cooked
+// storage lives in a test-lifetime arena. Source text is a string
+// literal (static storage), so slice-backed payloads are always safe.
+support::Arena& test_arena() {
   static support::Arena arena;
-  return Lexer::tokenize(source, arena);
+  return arena;
+}
+
+std::vector<Token> lex(std::string_view source) {
+  return Lexer::tokenize(source, test_arena());
+}
+
+std::string_view value(const Token& token) {
+  return token_value(token, test_arena());
+}
+
+TemplateParts parts(const Token& token) {
+  return template_parts(token, test_arena());
 }
 
 TEST(Lexer, EmptyInput) {
@@ -26,9 +38,9 @@ TEST(Lexer, Identifiers) {
   for (const Token& token : tokens) {
     EXPECT_EQ(token.type, TokenType::kIdentifier);
   }
-  EXPECT_EQ(tokens[0].value, "foo");
-  EXPECT_EQ(tokens[1].value, "_bar");
-  EXPECT_EQ(tokens[2].value, "$baz");
+  EXPECT_EQ(value(tokens[0]), "foo");
+  EXPECT_EQ(value(tokens[1]), "_bar");
+  EXPECT_EQ(value(tokens[2]), "$baz");
 }
 
 TEST(Lexer, KeywordsAndLiteralWords) {
@@ -46,20 +58,20 @@ TEST(Lexer, KeywordsAndLiteralWords) {
 TEST(Lexer, DecimalNumbers) {
   const auto tokens = lex("0 42 3.14 .5 1e3 2.5e-2");
   ASSERT_EQ(tokens.size(), 6u);
-  EXPECT_DOUBLE_EQ(tokens[0].number, 0.0);
-  EXPECT_DOUBLE_EQ(tokens[1].number, 42.0);
-  EXPECT_DOUBLE_EQ(tokens[2].number, 3.14);
-  EXPECT_DOUBLE_EQ(tokens[3].number, 0.5);
-  EXPECT_DOUBLE_EQ(tokens[4].number, 1000.0);
-  EXPECT_DOUBLE_EQ(tokens[5].number, 0.025);
+  EXPECT_DOUBLE_EQ(numeric_value(tokens[0]), 0.0);
+  EXPECT_DOUBLE_EQ(numeric_value(tokens[1]), 42.0);
+  EXPECT_DOUBLE_EQ(numeric_value(tokens[2]), 3.14);
+  EXPECT_DOUBLE_EQ(numeric_value(tokens[3]), 0.5);
+  EXPECT_DOUBLE_EQ(numeric_value(tokens[4]), 1000.0);
+  EXPECT_DOUBLE_EQ(numeric_value(tokens[5]), 0.025);
 }
 
 TEST(Lexer, RadixNumbers) {
   const auto tokens = lex("0x2a 0b101 0o17 017");
-  EXPECT_DOUBLE_EQ(tokens[0].number, 42.0);
-  EXPECT_DOUBLE_EQ(tokens[1].number, 5.0);
-  EXPECT_DOUBLE_EQ(tokens[2].number, 15.0);
-  EXPECT_DOUBLE_EQ(tokens[3].number, 15.0);  // legacy octal
+  EXPECT_DOUBLE_EQ(numeric_value(tokens[0]), 42.0);
+  EXPECT_DOUBLE_EQ(numeric_value(tokens[1]), 5.0);
+  EXPECT_DOUBLE_EQ(numeric_value(tokens[2]), 15.0);
+  EXPECT_DOUBLE_EQ(numeric_value(tokens[3]), 15.0);  // legacy octal
 }
 
 TEST(Lexer, NumberFollowedByIdentifierFails) {
@@ -68,10 +80,10 @@ TEST(Lexer, NumberFollowedByIdentifierFails) {
 
 TEST(Lexer, StringEscapes) {
   const auto tokens = lex(R"JS("a\nb" 'c\x41d' "B" "q\\")JS");
-  EXPECT_EQ(tokens[0].value, "a\nb");
-  EXPECT_EQ(tokens[1].value, "cAd");
-  EXPECT_EQ(tokens[2].value, "B");
-  EXPECT_EQ(tokens[3].value, "q\\");
+  EXPECT_EQ(value(tokens[0]), "a\nb");
+  EXPECT_EQ(value(tokens[1]), "cAd");
+  EXPECT_EQ(value(tokens[2]), "B");
+  EXPECT_EQ(value(tokens[3]), "q\\");
 }
 
 TEST(Lexer, UnterminatedStringFails) {
@@ -83,33 +95,33 @@ TEST(Lexer, TemplateLiteralSimple) {
   const auto tokens = lex("`hello`");
   ASSERT_EQ(tokens.size(), 1u);
   EXPECT_EQ(tokens[0].type, TokenType::kTemplate);
-  ASSERT_EQ(tokens[0].template_quasis.size(), 1u);
-  EXPECT_EQ(tokens[0].template_quasis[0], "hello");
-  EXPECT_TRUE(tokens[0].template_expressions.empty());
+  ASSERT_EQ(parts(tokens[0]).quasis.size(), 1u);
+  EXPECT_EQ(parts(tokens[0]).quasis[0], "hello");
+  EXPECT_TRUE(parts(tokens[0]).expressions.empty());
 }
 
 TEST(Lexer, TemplateLiteralWithSubstitutions) {
   const auto tokens = lex("`a ${x + 1} b ${y} c`");
   ASSERT_EQ(tokens.size(), 1u);
-  ASSERT_EQ(tokens[0].template_quasis.size(), 3u);
-  ASSERT_EQ(tokens[0].template_expressions.size(), 2u);
-  EXPECT_EQ(tokens[0].template_quasis[0], "a ");
-  EXPECT_EQ(tokens[0].template_expressions[0], "x + 1");
-  EXPECT_EQ(tokens[0].template_expressions[1], "y");
+  ASSERT_EQ(parts(tokens[0]).quasis.size(), 3u);
+  ASSERT_EQ(parts(tokens[0]).expressions.size(), 2u);
+  EXPECT_EQ(parts(tokens[0]).quasis[0], "a ");
+  EXPECT_EQ(parts(tokens[0]).expressions[0], "x + 1");
+  EXPECT_EQ(parts(tokens[0]).expressions[1], "y");
 }
 
 TEST(Lexer, TemplateWithNestedBraces) {
   const auto tokens = lex("`v: ${ {a: {b: 1}}.a.b }`");
   ASSERT_EQ(tokens.size(), 1u);
-  ASSERT_EQ(tokens[0].template_expressions.size(), 1u);
-  EXPECT_EQ(tokens[0].template_expressions[0], " {a: {b: 1}}.a.b ");
+  ASSERT_EQ(parts(tokens[0]).expressions.size(), 1u);
+  EXPECT_EQ(parts(tokens[0]).expressions[0], " {a: {b: 1}}.a.b ");
 }
 
 TEST(Lexer, TemplateWithStringContainingBrace) {
   const auto tokens = lex("`x ${ f(\"}\") } y`");
   ASSERT_EQ(tokens.size(), 1u);
-  ASSERT_EQ(tokens[0].template_expressions.size(), 1u);
-  EXPECT_EQ(tokens[0].template_expressions[0], " f(\"}\") ");
+  ASSERT_EQ(parts(tokens[0]).expressions.size(), 1u);
+  EXPECT_EQ(parts(tokens[0]).expressions[0], " f(\"}\") ");
 }
 
 TEST(Lexer, TemplateNestedSubstitutions) {
@@ -125,8 +137,8 @@ TEST(Lexer, TemplateNestedSubstitutions) {
   for (const auto& [source, expression] : cases) {
     const auto tokens = lex(source);
     ASSERT_EQ(tokens.size(), 1u) << source;
-    ASSERT_EQ(tokens[0].template_expressions.size(), 1u) << source;
-    EXPECT_EQ(tokens[0].template_expressions[0], expression) << source;
+    ASSERT_EQ(parts(tokens[0]).expressions.size(), 1u) << source;
+    EXPECT_EQ(parts(tokens[0]).expressions[0], expression) << source;
   }
   EXPECT_THROW(lex("`a${`b"), ParseError);
   EXPECT_THROW(lex("`a${`b${c"), ParseError);
@@ -137,22 +149,22 @@ TEST(Lexer, RegexAfterOperator) {
   const auto tokens = lex("x = /ab+c/gi;");
   ASSERT_EQ(tokens.size(), 4u);
   EXPECT_EQ(tokens[2].type, TokenType::kRegularExpression);
-  EXPECT_EQ(tokens[2].value, "ab+c");
-  EXPECT_EQ(tokens[2].regex_flags, "gi");
+  EXPECT_EQ(value(tokens[2]), "ab+c");
+  EXPECT_EQ(regex_flags(tokens[2]), "gi");
 }
 
 TEST(Lexer, DivisionAfterIdentifier) {
   const auto tokens = lex("a / b");
   ASSERT_EQ(tokens.size(), 3u);
   EXPECT_EQ(tokens[1].type, TokenType::kPunctuator);
-  EXPECT_EQ(tokens[1].value, "/");
+  EXPECT_EQ(value(tokens[1]), "/");
 }
 
 TEST(Lexer, RegexWithCharacterClassSlash) {
   const auto tokens = lex("var re = /[/]/;");
   ASSERT_EQ(tokens.size(), 5u);
   EXPECT_EQ(tokens[3].type, TokenType::kRegularExpression);
-  EXPECT_EQ(tokens[3].value, "[/]");
+  EXPECT_EQ(value(tokens[3]), "[/]");
 }
 
 TEST(Lexer, CommentsAreCounted) {
@@ -172,7 +184,7 @@ TEST(Lexer, CommentsAreCounted) {
 TEST(Lexer, HtmlOpenCommentSkipped) {
   const auto tokens = lex("<!-- legacy\nx");
   ASSERT_EQ(tokens.size(), 1u);
-  EXPECT_EQ(tokens[0].value, "x");
+  EXPECT_EQ(value(tokens[0]), "x");
 }
 
 TEST(Lexer, MultiCharPunctuators) {
@@ -180,7 +192,7 @@ TEST(Lexer, MultiCharPunctuators) {
   std::vector<std::string> punctuators;
   for (const Token& token : tokens) {
     if (token.type == TokenType::kPunctuator) {
-      punctuators.emplace_back(token.value);
+      punctuators.emplace_back(value(token));
     }
   }
   const std::vector<std::string> expected = {"===", "!==", ">>>", "**",
@@ -192,8 +204,8 @@ TEST(Lexer, CompoundAssignments) {
   const auto tokens = lex("a += 1; b <<= 2; c >>>= 3; d **= 4;");
   std::vector<std::string> ops;
   for (const Token& token : tokens) {
-    if (token.type == TokenType::kPunctuator && token.value != ";") {
-      ops.emplace_back(token.value);
+    if (token.type == TokenType::kPunctuator && value(token) != ";") {
+      ops.emplace_back(value(token));
     }
   }
   const std::vector<std::string> expected = {"+=", "<<=", ">>>=", "**="};
@@ -220,14 +232,35 @@ TEST(Lexer, UnicodeEscapeInIdentifier) {
   const auto tokens = lex("\\u0061bc");
   ASSERT_EQ(tokens.size(), 1u);
   EXPECT_EQ(tokens[0].type, TokenType::kIdentifier);
-  EXPECT_EQ(tokens[0].value, "abc");
+  EXPECT_EQ(value(tokens[0]), "abc");
 }
 
 TEST(Lexer, RawSlicePreserved) {
-  const auto tokens = lex("  0x2A  ");
+  constexpr std::string_view source = "  0x2A  ";
+  const auto tokens = lex(source);
   ASSERT_EQ(tokens.size(), 1u);
   EXPECT_EQ(tokens[0].raw, "0x2A");
-  EXPECT_EQ(tokens[0].offset, 2u);
+  EXPECT_EQ(tokens[0].raw.data() - source.data(), 2);  // byte offset
+}
+
+TEST(Lexer, SourceSizeBoundKeepsPositionsInU32) {
+  // Token lines and columns are u32 and a source of n bytes has up to
+  // n + 1 lines, so parse_program and the Lexer reject larger sources
+  // before lexing. Checked through the helper: no 4 GiB allocation.
+  static_assert(kMaxLexableBytes + 1 ==
+                std::numeric_limits<std::uint32_t>::max());
+  EXPECT_NO_THROW(check_lexable_size(0));
+  EXPECT_NO_THROW(check_lexable_size(kMaxLexableBytes));
+  EXPECT_THROW(check_lexable_size(kMaxLexableBytes + 1), ParseError);
+  EXPECT_THROW(check_lexable_size(std::size_t{1} << 32), ParseError);
+  try {
+    check_lexable_size(std::size_t{5} << 30);
+    ADD_FAILURE() << "a 5 GiB source was accepted";
+  } catch (const ParseError& error) {
+    EXPECT_NE(std::string(error.what()).find("5368709120 bytes"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(Lexer, UnexpectedCharacterFails) {
@@ -244,7 +277,7 @@ TEST(Lexer, DivisionAfterCloseParen) {
   const auto tokens = lex("(a) / 2");
   bool has_division = false;
   for (const Token& token : tokens) {
-    if (token.type == TokenType::kPunctuator && token.value == "/") {
+    if (token.type == TokenType::kPunctuator && value(token) == "/") {
       has_division = true;
     }
   }
