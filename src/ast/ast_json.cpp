@@ -1,5 +1,7 @@
 #include "ast/ast_json.h"
 
+#include <vector>
+
 #include "support/json_writer.h"
 
 namespace jst {
@@ -86,11 +88,8 @@ Layout layout_for(NodeKind kind) {
   }
 }
 
-void emit(const Node* node, JsonWriter& json) {
-  if (node == nullptr) {
-    json.null();
-    return;
-  }
+// Opens a node's object and writes its type and scalar fields.
+void emit_fields(const Node* node, JsonWriter& json) {
   json.begin_object();
   json.key("type");
   json.value(node_kind_name(node->kind));
@@ -159,20 +158,53 @@ void emit(const Node* node, JsonWriter& json) {
     json.value(node->flag_b);
   }
 
-  const Layout layout = layout_for(node->kind);
-  for (std::size_t i = 0; i < layout.fixed.size(); ++i) {
-    json.key(layout.fixed[i]);
-    emit(node->kid(i), json);
-  }
-  if (layout.tail != nullptr) {
-    json.key(layout.tail);
-    json.begin_array();
-    for (std::size_t i = layout.tail_start; i < node->kids.size(); ++i) {
-      emit(node->kids[i], json);
+}
+
+// Writes the subtree with an explicit stack, not recursion: the parser
+// builds operator chains iteratively, so AST depth grows with the input
+// (a JSFuck flood's `+` chain is as deep as it is long).
+void emit(const Node* root, JsonWriter& json) {
+  struct Frame {
+    const Node* node;
+    Layout layout;
+    std::size_t next = 0;  // next fixed slot, then next tail kid
+    bool in_tail = false;
+  };
+  std::vector<Frame> stack;
+  const auto open = [&](const Node* node) {
+    if (node == nullptr) {
+      json.null();
+      return;
     }
-    json.end_array();
+    emit_fields(node, json);
+    stack.push_back({node, layout_for(node->kind)});
+  };
+  open(root);
+  while (!stack.empty()) {
+    // open() may grow the stack, so `frame` is not used after calling it.
+    Frame& frame = stack.back();
+    const Layout& layout = frame.layout;
+    if (frame.next < layout.fixed.size() && !frame.in_tail) {
+      json.key(layout.fixed[frame.next]);
+      open(frame.node->kid(frame.next++));
+      continue;
+    }
+    if (layout.tail != nullptr) {
+      if (!frame.in_tail) {
+        json.key(layout.tail);
+        json.begin_array();
+        frame.in_tail = true;
+        frame.next = layout.tail_start;
+      }
+      if (frame.next < frame.node->kids.size()) {
+        open(frame.node->kids[frame.next++]);
+        continue;
+      }
+      json.end_array();
+    }
+    json.end_object();
+    stack.pop_back();
   }
-  json.end_object();
 }
 
 // Minimal re-indenter for pretty output.
