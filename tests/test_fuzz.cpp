@@ -18,6 +18,7 @@
 #include "corpus/generator.h"
 #include "corpus/snippets.h"
 #include "features/feature_extractor.h"
+#include "hostile_inputs.h"
 #include "parser/parser.h"
 #include "support/rng.h"
 
@@ -263,6 +264,25 @@ TEST(HostileInputs, BudgetDepthTripsBeforeParserHardGuard) {
   EXPECT_EQ(governed.status, analysis::ScriptStatus::kBudgetDepth);
   ASSERT_TRUE(governed.budget.has_value());
   EXPECT_EQ(governed.budget->kind, ResourceKind::kAstDepth);
+}
+
+TEST(HostileInputs, DeepTemplateNestingHitsTheRecursionGuard) {
+  // Each nested template is parsed by a sub-parser; the nesting counts
+  // toward the same guards as brackets do, so 10 000 levels fail cleanly
+  // instead of overflowing the stack.
+  const std::string source = hostile::deep_template(10000);
+  try {
+    parse_program(source);
+    ADD_FAILURE() << "10 000-deep template nesting parsed";
+  } catch (const ParseError& error) {
+    EXPECT_NE(std::string(error.what()).find("nesting depth exceeded"),
+              std::string::npos)
+        << error.what();
+  }
+  analysis::AnalyzerService service(fuzz_analyzer());
+  const analysis::ScriptOutcome governed =
+      analyze_source(service, source, ResourceLimits::production());
+  EXPECT_EQ(governed.status, analysis::ScriptStatus::kBudgetDepth);
 }
 
 TEST(HostileInputs, DataflowCeilingDegradesButStillPredicts) {
