@@ -75,7 +75,7 @@ std::string write_bench_json(std::string_view bench,
     writer.key("scripts"); writer.value(record.scripts);
     writer.key("wall_ms"); writer.value(record.wall_ms);
     writer.key("scripts_per_second"); writer.value(record.scripts_per_second);
-    if (record.lex_ms > 0.0 || record.parse_ms > 0.0) {
+    if (record.lex_ms > 0.0) {
       writer.key("lex_ms"); writer.value(record.lex_ms);
       writer.key("parse_ms"); writer.value(record.parse_ms);
       writer.key("frontend_ms"); writer.value(record.lex_ms + record.parse_ms);
@@ -93,6 +93,12 @@ std::string write_bench_json(std::string_view bench,
     if (record.bytes > 0) {
       writer.key("bytes"); writer.value(record.bytes);
       writer.key("mb_per_second"); writer.value(record.mb_per_second);
+    }
+    if (record.tokens > 0) {
+      writer.key("tokens"); writer.value(record.tokens);
+      writer.key("tokens_per_second"); writer.value(record.tokens_per_second);
+      writer.key("parse_ms"); writer.value(record.parse_ms);
+      writer.key("peak_arena_bytes"); writer.value(record.peak_arena_bytes);
     }
     if (record.latency_p50_ms > 0.0) {
       writer.key("latency_p50_ms"); writer.value(record.latency_p50_ms);

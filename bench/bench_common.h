@@ -52,7 +52,8 @@ struct BenchRecord {
   // --stage-split): serial milliseconds over the corpus spent in
   // tokenize-only (lex_ms), in parse_program minus the lex share
   // (parse_ms), and in everything after the parse (postparse_ms).
-  // Emitted only when a split was measured.
+  // Emitted only when a split was measured (lex_ms > 0); bench_lexer
+  // reports its directly timed parse_ms with the token block below.
   double lex_ms = 0.0;
   double parse_ms = 0.0;
   double postparse_ms = 0.0;
@@ -83,6 +84,13 @@ struct BenchRecord {
   // bytes > 0.
   std::size_t bytes = 0;
   double mb_per_second = 0.0;
+  // Optional token and parse measurements (bench_lexer): tokens per
+  // pass and their rate over the tokenize-only pass, the parse-only time
+  // (in parse_ms), and the pooled front-end arena's peak bytes. Emitted
+  // only when tokens > 0.
+  std::size_t tokens = 0;
+  double tokens_per_second = 0.0;
+  std::size_t peak_arena_bytes = 0;
 };
 
 // Writes `BENCH_<bench>.json` — {"bench":…,"scale":…,"results":[…]} —

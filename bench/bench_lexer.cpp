@@ -1,12 +1,16 @@
-// Lexer throughput microbenchmark (DESIGN.md §16).
+// Lexer and parser throughput microbenchmark (DESIGN.md §16).
 //
-// Measures tokenize-only throughput (MB/s) per input family. The
-// families stress different scan loops: minified output is punctuator-
-// dense with long physical lines (whitespace runs mostly idle), JSFuck
-// floods are short-token storms (per-token dispatch cost dominates),
-// string-heavy sources spend almost all bytes inside literal payloads
-// (the string payload run), and plain sources mix identifiers, comments,
-// and indentation (identifier, whitespace and line-comment runs).
+// Measures tokenize-only throughput (MB/s, tokens/s) per input family,
+// then a lex+parse pass that times the parser apart from the lexer and
+// records the pooled arena's peak bytes. The families stress different
+// scan loops: minified output is punctuator-dense with long physical
+// lines (whitespace runs mostly idle), JSFuck floods are short-token
+// storms (per-token dispatch cost dominates; `jsfuck_tail` is the
+// population tail of scripts over 64 KiB, where the token array itself
+// is the cost), string-heavy sources spend almost all bytes inside
+// literal payloads (the string payload run), and plain sources mix
+// identifiers, comments, and indentation (identifier, whitespace and
+// line-comment runs).
 //
 // Emits BENCH_lexer.json via bench_common so the per-family trajectory
 // is recorded across PRs.
@@ -16,9 +20,12 @@
 #include <string>
 #include <vector>
 
+#include "analysis/wild.h"
 #include "bench_common.h"
 #include "lexer/lexer.h"
+#include "parser/parser.h"
 #include "support/arena.h"
+#include "support/atom.h"
 #include "support/rng.h"
 #include "transform/transform.h"
 
@@ -77,6 +84,21 @@ Family jsfuck_family(std::size_t count) {
   return make_family("jsfuck", std::move(sources));
 }
 
+// The §IV malware tail: the first scripts over 64 KiB of a DNC
+// population draw, all no-alphanumeric floods of one token per byte
+// (the tail of the benchmark's wild mix).
+Family jsfuck_tail_family(std::size_t count) {
+  std::vector<std::string> sources;
+  for (analysis::Sample& sample :
+       analysis::simulate_population(analysis::dnc_spec(), 300, 2)) {
+    if (sources.size() == count) break;
+    if (sample.source.size() > 64 * 1024) {
+      sources.push_back(std::move(sample.source));
+    }
+  }
+  return make_family("jsfuck_tail", std::move(sources));
+}
+
 // Sources dominated by long string literals with sparse escapes — the
 // longest payload runs, and the dirty-path run-append's worst case.
 Family string_heavy_family(std::size_t count) {
@@ -111,22 +133,58 @@ Family string_heavy_family(std::size_t count) {
   return make_family("string_heavy", std::move(sources));
 }
 
-// Best-of-5 serial tokenize pass over the family.
-double measure_ms(const Family& family) {
+double ms_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+// Best-of-5 serial tokenize pass over the family; `tokens` receives the
+// tokens per pass.
+double measure_ms(const Family& family, std::size_t& tokens) {
   double best = 1e300;
   for (int pass = 0; pass < 5; ++pass) {
     const auto start = std::chrono::steady_clock::now();
-    std::size_t tokens = 0;
+    tokens = 0;
     for (const std::string& source : family.sources) {
       support::Arena arena;
       tokens += Lexer::tokenize(source, arena).size();
     }
-    const auto stop = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(stop - start).count();
+    const double ms = ms_since(start);
     if (tokens == 0) std::fprintf(stderr, "[bench] empty token stream?\n");
     best = std::min(best, ms);
   }
+  return best;
+}
+
+// Best-of-5 serial lex+parse pass in one pooled arena, laid out as
+// parse_program runs it: the source copied into the reset arena, lexed
+// into an arena token vector, then parsed. Only the parse is timed.
+// `peak_arena_bytes` receives the arena's largest per-script footprint.
+double measure_parse_ms(const Family& family, std::size_t& peak_arena_bytes) {
+  support::Arena arena;
+  support::AtomTable atoms;
+  double best = 1e300;
+  for (int pass = 0; pass < 5; ++pass) {
+    double ms = 0.0;
+    for (const std::string& source : family.sources) {
+      arena.reset();
+      atoms.clear();
+      Ast ast(&arena, &atoms);
+      Lexer lexer(arena.alloc_string(source), arena);
+      support::ArenaVec<Token> tokens(arena);
+      for (Token token = lexer.next(); token.type != TokenType::kEndOfFile;
+           token = lexer.next()) {
+        tokens.push_back(token);
+      }
+      const auto start = std::chrono::steady_clock::now();
+      Parser parser(std::span<const Token>(tokens.data(), tokens.size()), ast);
+      ast.set_root(parser.parse_program_body());
+      ms += ms_since(start);
+    }
+    best = std::min(best, ms);
+  }
+  peak_arena_bytes = arena.peak_bytes();
   return best;
 }
 
@@ -141,18 +199,26 @@ int main() {
   families.push_back(plain_family(count));
   families.push_back(minified_family(count));
   families.push_back(jsfuck_family(count));
+  families.push_back(jsfuck_tail_family(4));
   families.push_back(string_heavy_family(count));
 
-  std::printf("lexer throughput (tokenize only, best of 5, serial)\n");
-  std::printf("%-14s %8s %10s %10s\n", "family", "bytes", "wall_ms", "MB/s");
+  std::printf("lexer and parser throughput (best of 5, serial)\n");
+  std::printf("%-14s %8s %10s %10s %12s %10s %12s\n", "family", "bytes",
+              "lex_ms", "MB/s", "tokens/s", "parse_ms", "peak_arena");
 
   std::vector<bench::BenchRecord> records;
   for (const Family& family : families) {
-    const double ms = measure_ms(family);
+    std::size_t tokens = 0;
+    const double ms = measure_ms(family, tokens);
     const double mbps =
         static_cast<double>(family.bytes) / 1048576.0 / (ms / 1000.0);
-    std::printf("%-14s %8zu %10.3f %10.1f\n", family.name.c_str(),
-                family.bytes, ms, mbps);
+    const double tokens_per_second =
+        static_cast<double>(tokens) / (ms / 1000.0);
+    std::size_t peak_arena_bytes = 0;
+    const double parse_ms = measure_parse_ms(family, peak_arena_bytes);
+    std::printf("%-14s %8zu %10.3f %10.1f %12.0f %10.3f %12zu\n",
+                family.name.c_str(), family.bytes, ms, mbps,
+                tokens_per_second, parse_ms, peak_arena_bytes);
 
     bench::BenchRecord record;
     record.config = "family=" + family.name;
@@ -163,6 +229,10 @@ int main() {
         static_cast<double>(family.sources.size()) / (ms / 1000.0);
     record.bytes = family.bytes;
     record.mb_per_second = mbps;
+    record.tokens = tokens;
+    record.tokens_per_second = tokens_per_second;
+    record.parse_ms = parse_ms;
+    record.peak_arena_bytes = peak_arena_bytes;
     records.push_back(std::move(record));
   }
 
