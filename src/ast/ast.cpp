@@ -1,5 +1,6 @@
 #include "ast/ast.h"
 
+#include <array>
 #include <new>
 #include <type_traits>
 
@@ -68,7 +69,9 @@ std::string_view node_kind_name(NodeKind kind) {
   return "Unknown";
 }
 
-bool Node::is_statement() const {
+namespace {
+
+constexpr bool statement_kind(NodeKind kind) {
   switch (kind) {
     case NodeKind::kExpressionStatement:
     case NodeKind::kBlockStatement:
@@ -97,36 +100,34 @@ bool Node::is_statement() const {
   }
 }
 
-bool Node::is_expression() const {
-  switch (kind) {
-    case NodeKind::kIdentifier:
-    case NodeKind::kLiteral:
-    case NodeKind::kTemplateLiteral:
-    case NodeKind::kTaggedTemplateExpression:
-    case NodeKind::kThisExpression:
-    case NodeKind::kSuper:
-    case NodeKind::kArrayExpression:
-    case NodeKind::kObjectExpression:
-    case NodeKind::kFunctionExpression:
-    case NodeKind::kArrowFunctionExpression:
-    case NodeKind::kClassExpression:
-    case NodeKind::kSequenceExpression:
-    case NodeKind::kUnaryExpression:
-    case NodeKind::kBinaryExpression:
-    case NodeKind::kLogicalExpression:
-    case NodeKind::kAssignmentExpression:
-    case NodeKind::kUpdateExpression:
-    case NodeKind::kConditionalExpression:
-    case NodeKind::kCallExpression:
-    case NodeKind::kNewExpression:
-    case NodeKind::kMemberExpression:
-    case NodeKind::kYieldExpression:
-    case NodeKind::kAwaitExpression:
-      return true;
-    default:
-      return false;
+// The kReach* bits each node kind contributes by itself.
+constexpr std::array<std::uint8_t, kNodeKindCount> kKindReach = [] {
+  std::array<std::uint8_t, kNodeKindCount> table{};
+  const auto set = [&table](std::initializer_list<NodeKind> kinds,
+                            std::uint8_t bits) {
+    for (NodeKind kind : kinds) table[static_cast<std::size_t>(kind)] |= bits;
+  };
+  for (std::size_t i = 0; i < kNodeKindCount; ++i) {
+    if (statement_kind(static_cast<NodeKind>(i))) table[i] = kReachDataFlow;
   }
+  set({NodeKind::kFunctionDeclaration, NodeKind::kFunctionExpression,
+       NodeKind::kArrowFunctionExpression},
+      kReachFunction | kReachDataFlow);
+  set({NodeKind::kSwitchCase, NodeKind::kCatchClause, NodeKind::kIdentifier,
+       NodeKind::kClassExpression, NodeKind::kClassBody,
+       NodeKind::kMethodDefinition},
+      kReachDataFlow);
+  set({NodeKind::kConditionalExpression}, kReachConditional);
+  return table;
+}();
+
+}  // namespace
+
+std::uint8_t kind_reach(NodeKind kind) {
+  return kKindReach[static_cast<std::size_t>(kind)];
 }
+
+bool Node::is_statement() const { return statement_kind(kind); }
 
 bool Node::is_function() const {
   return kind == NodeKind::kFunctionDeclaration ||
@@ -151,6 +152,8 @@ bool Node::is_loop() const {
 // whole Node (including its NodeList and payload views) must be trivial
 // to destroy.
 static_assert(std::is_trivially_destructible_v<Node>);
+// The reach byte lives in padding after the flags.
+static_assert(sizeof(Node) == 104);
 
 void NodeList::grow(std::size_t at_least) {
   std::size_t next = capacity_ == 0 ? 4 : static_cast<std::size_t>(capacity_) * 2;
@@ -242,6 +245,12 @@ std::size_t Ast::finalize() {
   // arena-allocated (each node is pushed at most once, so allocated_
   // bounds its growth); the transient block is reclaimed at the next
   // arena reset, keeping finalize() heap-allocation-free.
+  //
+  // Reach bits ride the same pass. A node's ancestors are all visited
+  // before it, so it ORs its own bits upward and stops at the first
+  // ancestor that already carries them (then so do all of that one's
+  // ancestors). A bit is set at most once per node, which keeps the climb
+  // amortized O(1) per node.
   Node** stack = arena_->alloc_array<Node*>(allocated_ + 1);
   std::size_t depth = 0;
   stack[depth++] = root_;
@@ -249,6 +258,12 @@ std::size_t Ast::finalize() {
   while (depth > 0) {
     Node* node = stack[--depth];
     node->id = static_cast<std::uint32_t>(node_count_++);
+    node->reach = 0;
+    const std::uint8_t bits = kKindReach[static_cast<std::size_t>(node->kind)];
+    for (Node* up = node; up != nullptr && (up->reach & bits) != bits;
+         up = up->parent) {
+      up->reach |= bits;
+    }
     for (auto it = node->kids.rbegin(); it != node->kids.rend(); ++it) {
       if (*it != nullptr) {
         (*it)->parent = node;

@@ -105,6 +105,18 @@ enum class LiteralKind : std::uint8_t {
 
 std::string_view node_kind_name(NodeKind kind);
 
+// Subtree-reach bits (Node::reach): which kinds of node a subtree holds.
+// Function: any function node. Conditional: a ConditionalExpression.
+// DataFlow: a node the data-flow pass acts on — a statement, SwitchCase,
+// CatchClause, Identifier, function, class, ClassBody or
+// MethodDefinition.
+constexpr std::uint8_t kReachFunction = 1u << 0;
+constexpr std::uint8_t kReachConditional = 1u << 1;
+constexpr std::uint8_t kReachDataFlow = 1u << 2;
+
+// The reach bits a node of `kind` contributes by itself.
+std::uint8_t kind_reach(NodeKind kind);
+
 struct Node;
 
 // Child list living entirely in the owning Ast's arena: a vector-shaped
@@ -130,7 +142,6 @@ class NodeList {
   Node** end() { return data_ + size_; }
   Node* const* begin() const { return data_; }
   Node* const* end() const { return data_ + size_; }
-  const_iterator cbegin() const { return data_; }
   const_iterator cend() const { return data_ + size_; }
   reverse_iterator rbegin() { return reverse_iterator(end()); }
   reverse_iterator rend() { return reverse_iterator(begin()); }
@@ -145,13 +156,8 @@ class NodeList {
   bool empty() const { return size_ == 0; }
   Node*& operator[](std::size_t i) { return data_[i]; }
   Node* operator[](std::size_t i) const { return data_[i]; }
-  Node*& front() { return data_[0]; }
-  Node* front() const { return data_[0]; }
-  Node*& back() { return data_[size_ - 1]; }
-  Node* back() const { return data_[size_ - 1]; }
 
   void clear() { size_ = 0; }
-  void pop_back() { --size_; }
 
   void reserve(std::size_t wanted) {
     if (wanted > capacity_) grow(wanted);
@@ -186,13 +192,6 @@ class NodeList {
     std::size_t i = at;
     for (It it = first; it != last; ++it) data_[i++] = *it;
     size_ += count;
-    return data_ + at;
-  }
-
-  iterator erase(const_iterator pos) {
-    const std::size_t at = static_cast<std::size_t>(pos - data_);
-    for (std::size_t i = at; i + 1 < size_; ++i) data_[i] = data_[i + 1];
-    --size_;
     return data_ + at;
   }
 
@@ -236,6 +235,10 @@ struct Node {
   bool flag_a = false;      // computed / prefix / delegate / expression-body
   bool flag_b = false;      // shorthand / generator / static
   bool flag_c = false;      // async
+  // kReach* bits of every node in this subtree, the node itself included;
+  // assigned by Ast::finalize(). Lets the graph passes skip subtrees that
+  // hold nothing they act on.
+  std::uint8_t reach = 0;
 
   // Source position (propagated from the first token of the production).
   std::size_t line = 0;
@@ -251,7 +254,6 @@ struct Node {
   Node* parent = nullptr;
 
   bool is_statement() const;
-  bool is_expression() const;
   bool is_function() const;   // declaration, expression, or arrow
   bool is_loop() const;
 
@@ -329,8 +331,9 @@ class Ast {
   // detaches it before returning.
   void set_budget(Budget* budget) { budget_ = budget; }
 
-  // Assigns pre-order ids and parent pointers from the root; returns the
-  // number of reachable nodes.
+  // Assigns pre-order ids, parent pointers and subtree-reach bits from
+  // the root; returns the number of reachable nodes. A tree mutated after
+  // this must be finalized again before the graph passes run on it.
   std::size_t finalize();
 
   // Number of nodes allocated in the arena (including detached ones).

@@ -1,18 +1,10 @@
 #include "cfg/cfg.h"
 
 #include <algorithm>
+#include <array>
 #include <string_view>
 
 namespace jst {
-
-// Grants build_control_flow access to the cached adjacency counts.
-struct CfgBuildAccess {
-  static void set_counts(ControlFlow& flow, std::size_t branches,
-                         std::size_t backs) {
-    flow.branch_node_count_ = branches;
-    flow.back_edge_count_ = backs;
-  }
-};
 
 namespace {
 
@@ -26,13 +18,15 @@ constexpr std::uint32_t kNone = 0xffffffffu;
 // them, and truncates back. Break sites chain through a pooled link
 // array per breakable target, so a labeled break deep in a nested
 // statement lands in its own target's sink without touching the segments
-// in between. Every edge is appended raw; build() finalizes through a
-// CSR adjacency into the sorted, deduplicated public list.
+// in between. Every edge is appended raw; build() sorts and deduplicates
+// them in place and counts. Walks that look for functions or conditional
+// expressions enter only subtrees whose reach bits say they hold one.
 class CfgBuilder {
  public:
   CfgBuilder(Budget* budget, CfgScratch& ws) : budget_(budget), ws_(ws) {}
 
-  void build(const Node* root, std::size_t node_count, ControlFlow& out) {
+  // Walks the tree; returns the counts (edges, branch nodes, back edges).
+  std::array<std::size_t, 3> build(const Node* root) {
     ws_.edges.clear();
     ws_.exits.clear();
     ws_.cond_stack.clear();
@@ -65,11 +59,14 @@ class CfgBuilder {
           // only.
         }
         for (std::size_t i = node->kids.size(); i > 0; --i) {
-          if (node->kids[i - 1] != nullptr) stack.push_back(node->kids[i - 1]);
+          const Node* kid = node->kids[i - 1];
+          if (kid != nullptr && (kid->reach & kReachFunction) != 0) {
+            stack.push_back(kid);
+          }
         }
       }
     }
-    finalize(node_count, out);
+    return count();
   }
 
  private:
@@ -100,11 +97,13 @@ class CfgBuilder {
   // boundaries), plus nesting edges between conditionals.
   void link_conditional_expressions(const Node& statement) {
     // Manual stack walk that stops at nested functions and nested
-    // statements (those are visited on their own).
+    // statements (those are visited on their own), and enters only
+    // subtrees holding a conditional.
+    if ((statement.reach & kReachConditional) == 0) return;
     std::vector<std::pair<const Node*, const Node*>>& stack = ws_.cond_stack;
     const std::size_t base = stack.size();
     for (const Node* kid : statement.kids) {
-      if (kid != nullptr && !kid->is_statement() &&
+      if (holds_conditional(kid) && !kid->is_statement() &&
           kid->kind != NodeKind::kSwitchCase &&
           kid->kind != NodeKind::kCatchClause) {
         stack.emplace_back(kid, &statement);
@@ -120,11 +119,15 @@ class CfgBuilder {
       }
       if (node->is_function()) continue;  // separate sub-graph
       for (const Node* kid : node->kids) {
-        if (kid != nullptr && !kid->is_statement()) {
+        if (holds_conditional(kid) && !kid->is_statement()) {
           stack.emplace_back(kid, next_parent);
         }
       }
     }
+  }
+
+  static bool holds_conditional(const Node* node) {
+    return node != nullptr && (node->reach & kReachConditional) != 0;
   }
 
   // --- breakable stack ---------------------------------------------------
@@ -354,60 +357,26 @@ class CfgBuilder {
     }
   }
 
-  // --- CSR finalization --------------------------------------------------
+  // --- counting ------------------------------------------------------------
 
-  // Counting-sorts the raw edges by source row, sorts each row's targets,
-  // and writes the deduplicated (from, to)-sorted list — the same list
-  // std::sort + std::unique produced — while reading the branch and
-  // back-edge counts off the adjacency in the same pass.
-  void finalize(std::size_t node_count, ControlFlow& out) {
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& raw =
-        ws_.edges;
-    std::vector<std::uint32_t>& offsets = ws_.row_offsets;
-    offsets.assign(node_count + 1, 0);
-    for (const auto& [from, to] : raw) {
-      (void)to;
-      ++offsets[from + 1];
-    }
-    for (std::size_t row = 0; row < node_count; ++row) {
-      offsets[row + 1] += offsets[row];
-    }
-    ws_.col.resize(raw.size());
-    {
-      // `offsets[row]` doubles as the write cursor; after placement each
-      // entry has advanced to the next row's start, restored below.
-      for (const auto& [from, to] : raw) {
-        ws_.col[offsets[from]++] = to;
-      }
-      for (std::size_t row = node_count; row > 0; --row) {
-        offsets[row] = offsets[row - 1];
-      }
-      offsets[0] = 0;
-    }
-    out.edges.clear();
-    out.edges.reserve(raw.size());
+  // Sorts and deduplicates the raw edges in place, then reads the edge,
+  // branch-node and back-edge counts off the sorted runs.
+  std::array<std::size_t, 3> count() {
+    std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges = ws_.edges;
+    std::sort(edges.begin(), edges.end());
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
     std::size_t branches = 0;
     std::size_t backs = 0;
-    for (std::size_t row = 0; row < node_count; ++row) {
-      const std::size_t begin = offsets[row];
-      const std::size_t end = offsets[row + 1];
-      if (begin == end) continue;
-      std::sort(ws_.col.begin() + static_cast<std::ptrdiff_t>(begin),
-                ws_.col.begin() + static_cast<std::ptrdiff_t>(end));
-      const std::uint32_t from = static_cast<std::uint32_t>(row);
-      std::size_t degree = 0;
-      std::uint32_t previous = 0;
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::uint32_t to = ws_.col[i];
-        if (degree > 0 && to == previous) continue;  // duplicate edge
-        out.edges.emplace_back(from, to);
-        if (to <= from) ++backs;
-        previous = to;
-        ++degree;
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      const auto [from, to] = edges[i];
+      if (to <= from) ++backs;
+      // A row's second edge makes its source a branch point.
+      if (i > 0 && edges[i - 1].first == from &&
+          (i < 2 || edges[i - 2].first != from)) {
+        ++branches;
       }
-      if (degree >= 2) ++branches;
     }
-    CfgBuildAccess::set_counts(out, branches, backs);
+    return {edges.size(), branches, backs};
   }
 
   Budget* budget_ = nullptr;
@@ -426,7 +395,10 @@ ControlFlow build_control_flow(const Ast& ast, Budget* budget,
   CfgScratch local_scratch;
   CfgScratch& workspace = scratch != nullptr ? *scratch : local_scratch;
   CfgBuilder builder(budget, workspace);
-  builder.build(ast.root(), ast.node_count(), flow);
+  const auto [edges, branches, backs] = builder.build(ast.root());
+  flow.edge_count_ = edges;
+  flow.branch_node_count_ = branches;
+  flow.back_edge_count_ = backs;
   return flow;
 }
 

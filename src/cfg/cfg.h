@@ -8,6 +8,14 @@
 // top-level program), with edges for sequencing, branching (if/switch/
 // conditional expressions), loop back-edges, break/continue (including
 // labeled forms), and exception paths into CatchClause.
+//
+// Production keeps only what the features read: the deduplicated edge
+// count, the branch-node count and the back-edge count (DESIGN.md §17).
+// The walks enter only subtrees whose reach bits (Node::reach) say they
+// hold a function or a ConditionalExpression, so JSFuck-style operator
+// soup between statements costs nothing here. The full edge-list
+// builder survives in the tests as the oracle these counts are checked
+// against (tests/support/graph_oracles.h).
 #pragma once
 
 #include <cstdint>
@@ -18,34 +26,30 @@
 
 namespace jst {
 
+struct CfgScratch;
+
 struct ControlFlow {
-  // Deduplicated directed edges between node ids (Ast::finalize() order),
-  // sorted by (from, to).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  // Number of distinct directed edges between node ids.
+  std::size_t edge_count() const { return edge_count_; }
 
-  std::size_t edge_count() const { return edges.size(); }
-
-  // Number of nodes with out-degree >= 2 (branch points). Computed once
-  // from the CSR adjacency while build_control_flow finalizes the edge
-  // list (DESIGN.md §17); previously a per-call linear scan, and before
-  // that an unordered_map built per call.
+  // Number of nodes with out-degree >= 2 (branch points).
   std::size_t branch_node_count() const { return branch_node_count_; }
 
   // Number of back edges (edge to an id <= own id, i.e., loops; pre-order
-  // ids make ancestors smaller). Cached at build like the branch count.
+  // ids make ancestors smaller).
   std::size_t back_edge_count() const { return back_edge_count_; }
 
  private:
-  friend struct CfgBuildAccess;
+  friend ControlFlow build_control_flow(const Ast&, Budget*, CfgScratch*);
+  std::size_t edge_count_ = 0;
   std::size_t branch_node_count_ = 0;
   std::size_t back_edge_count_ = 0;
 };
 
-// Reusable builder workspace: the raw (unsorted) edge list, the shared
-// exits/conditional/breakable stacks the statement walk runs on, and the
-// CSR arrays the edge list is finalized through. Capacity survives across
-// scripts; steady-state CFG builds allocate only the returned edge
-// vector.
+// Reusable builder workspace: the raw edge list (sorted and deduplicated
+// in place to count), and the shared exits/conditional/breakable stacks
+// the statement walk runs on. Capacity survives across scripts, so
+// steady-state CFG builds allocate nothing.
 struct CfgScratch {
   // One break/continue target on the breakable stack. `label` views the
   // AST arena; `sink_head`/`sink_tail` chain this target's recorded break
@@ -71,9 +75,6 @@ struct CfgScratch {
   std::vector<BreakLink> break_links;
   // Nested-function discovery stack.
   std::vector<const Node*> func_stack;
-  // CSR finalization: per-row cursors/offsets and the column array.
-  std::vector<std::uint32_t> row_offsets;
-  std::vector<std::uint32_t> col;
 
   std::size_t capacity_bytes() const {
     return edges.capacity() * sizeof(edges[0]) +
@@ -81,16 +82,15 @@ struct CfgScratch {
            cond_stack.capacity() * sizeof(cond_stack[0]) +
            breakables.capacity() * sizeof(Breakable) +
            break_links.capacity() * sizeof(BreakLink) +
-           func_stack.capacity() * sizeof(const Node*) +
-           row_offsets.capacity() * sizeof(std::uint32_t) +
-           col.capacity() * sizeof(std::uint32_t);
+           func_stack.capacity() * sizeof(const Node*);
   }
 };
 
-// Builds the control-flow edges for a finalized AST. The AST must have had
-// Ast::finalize() called (ids and parents assigned). A non-null `budget`
-// is polled for the wall-clock deadline while edges are emitted; a passed
-// deadline throws BudgetExceeded. `scratch`, when non-null, is the
+// Counts the control-flow edges of a finalized AST. The AST must have had
+// Ast::finalize() called since its last mutation (ids, parents and reach
+// bits assigned). A non-null `budget` is polled for the wall-clock
+// deadline while edges are emitted; a passed deadline throws
+// BudgetExceeded. `scratch`, when non-null, is the
 // reusable workspace above; nullptr allocates per call.
 ControlFlow build_control_flow(const Ast& ast, Budget* budget = nullptr,
                                CfgScratch* scratch = nullptr);

@@ -1,5 +1,6 @@
 #include "dataflow/dataflow.h"
 
+#include <algorithm>
 #include <span>
 #include <string_view>
 #include <utility>
@@ -54,11 +55,11 @@ class DataFlowBuilder {
       if (aborted_) break;  // deadline noticed mid-resolution
     }
     // Pack the chained sites into contiguous spans before (possibly
-    // budget-truncated) edge emission, so the bindings are fully formed
+    // budget-truncated) edge counting, so the bindings are fully formed
     // even when a ceiling stops the pass mid-product.
     pack_sites();
     if (aborted_) return;
-    emit_edges();
+    count_edges();
   }
 
  private:
@@ -190,16 +191,14 @@ class DataFlowBuilder {
   // expression chains make the subtree arbitrarily deep (the parser's
   // recursion guard only bounds nested statements), so per-node recursion
   // would overflow the native stack on hostile inputs. The explicit stack
-  // visits every descendant in exactly the order the recursive version
+  // meets the declarations in exactly the order the recursive version
   // did, so bindings are created in the same order and get the same
-  // indices.
+  // indices; subtrees without a statement (reach bits) hold none.
   void hoist_into_function_scope(const Node* node) {
     if (node == nullptr) return;
     std::vector<const Node*>& stack = ws_.hoist_stack;
     const std::size_t base = stack.size();  // re-entered via visit_function
-    for (std::size_t i = node->kids.size(); i > 0; --i) {
-      if (node->kids[i - 1] != nullptr) stack.push_back(node->kids[i - 1]);
-    }
+    push_reaching_kids(stack, node);
     while (stack.size() > base) {
       const Node* kid = stack.back();
       stack.pop_back();
@@ -220,8 +219,17 @@ class DataFlowBuilder {
         // Initializers may contain more nested statements (rare); fall
         // through to descend into the declarators.
       }
-      for (std::size_t i = kid->kids.size(); i > 0; --i) {
-        if (kid->kids[i - 1] != nullptr) stack.push_back(kid->kids[i - 1]);
+      push_reaching_kids(stack, kid);
+    }
+  }
+
+  // Pushes the kids of `node` that hold a data-flow node, last kid first.
+  static void push_reaching_kids(std::vector<const Node*>& stack,
+                                 const Node* node) {
+    for (std::size_t i = node->kids.size(); i > 0; --i) {
+      const Node* kid = node->kids[i - 1];
+      if (kid != nullptr && (kid->reach & kReachDataFlow) != 0) {
+        stack.push_back(kid);
       }
     }
   }
@@ -355,8 +363,12 @@ class DataFlowBuilder {
     close_scope();
   }
 
+  // Defers `node` for step() when its subtree holds a node step() acts on
+  // (reach bits); a visit to any other subtree would only push kids.
   void push_kid(const Node* node) {
-    if (node != nullptr) ws_.spine.push_back(node);
+    if (node != nullptr && (node->reach & kReachDataFlow) != 0) {
+      ws_.spine.push_back(node);
+    }
   }
 
   // Pushes `node`'s kids so they pop in source order.
@@ -620,39 +632,56 @@ class DataFlowBuilder {
     }
   }
 
-  // Emits def -> use edges: the declaration and every assignment site are
-  // definition sources; every read is a destination. This product is the
-  // quadratic blow-up on adversarial inputs (one binding, thousands of
-  // writes × thousands of reads), so the edge ceiling and deadline are
-  // checked per edge; a trip truncates the edge list and records itself
-  // instead of throwing — the pipeline degrades around it.
-  void emit_edges() {
+  // Counts def -> use edges: the declaration and every assignment site are
+  // definition sources; every read but the def itself is a destination.
+  // This product is the quadratic blow-up on adversarial inputs (one
+  // binding, thousands of writes × thousands of reads), so each def's
+  // edges are charged against the edge ceiling and deadline; a trip
+  // truncates the count and records itself instead of throwing — the
+  // pipeline degrades around it.
+  void count_edges() {
     for (const Binding& binding : out_.bindings) {
+      if (binding.uses.empty()) continue;
       if (binding.declaration != nullptr) {
-        if (!emit_edges_from(binding.declaration, binding.uses)) return;
+        if (!count_edges_from(binding.declaration, binding.uses)) return;
       }
       for (const Node* def : binding.assignments) {
-        if (!emit_edges_from(def, binding.uses)) return;
+        if (!count_edges_from(def, binding.uses)) return;
       }
     }
   }
 
-  bool emit_edges_from(const Node* def, std::span<const Node* const> uses) {
-    for (const Node* use : uses) {
-      if (def == use) continue;
-      if (budget_ != nullptr) {
-        if (!budget_->try_charge_dataflow_edges()) {
-          abort_with(ResourceKind::kDataflowEdges);
-          return false;
-        }
-        if (budget_->dataflow_edges_charged() % Budget::kDeadlinePollStride ==
-                0 &&
-            budget_->deadline_expired()) {
-          abort_with(ResourceKind::kDeadline);
-          return false;
-        }
+  bool count_edges_from(const Node* def, std::span<const Node* const> uses) {
+    std::size_t edges = uses.size();
+    for (const Node* use : uses) edges -= use == def ? 1 : 0;
+    if (budget_ == nullptr) {
+      out_.def_use_edges += edges;
+      return true;
+    }
+    return charge_edges(edges);
+  }
+
+  // Charges `edges` edges with the trip points of one-at-a-time charging:
+  // each step ends at the next multiple of kDeadlinePollStride, where the
+  // deadline is polled, or at the first edge past the ceiling, which
+  // trips it. An edge that trips either is not counted.
+  bool charge_edges(std::size_t edges) {
+    constexpr std::size_t kStride = Budget::kDeadlinePollStride;
+    const std::size_t ceiling = budget_->limits().max_dataflow_edges;
+    while (edges > 0) {
+      const std::size_t charged = budget_->dataflow_edges_charged();
+      std::size_t step = std::min(edges, kStride - charged % kStride);
+      if (ceiling > 0) step = std::min(step, ceiling + 1 - charged);
+      edges -= step;
+      const bool within = budget_->try_charge_dataflow_edges(step);
+      if (!within || (budget_->dataflow_edges_charged() % kStride == 0 &&
+                      budget_->deadline_expired())) {
+        out_.def_use_edges += step - 1;
+        abort_with(within ? ResourceKind::kDeadline
+                          : ResourceKind::kDataflowEdges);
+        return false;
       }
-      out_.edges.emplace_back(def->id, use->id);
+      out_.def_use_edges += step;
     }
     return true;
   }

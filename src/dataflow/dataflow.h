@@ -8,7 +8,7 @@
 //
 // We build a lexical scope tree (function scopes with var hoisting, block
 // scopes for let/const, catch-parameter scopes), resolve every identifier
-// reference to its binding, and emit def -> use edges. Assignments count
+// reference to its binding, and count def -> use edges. Assignments count
 // as additional definition sites. The paper's 2-minute wall-clock timeout
 // is modeled as a node budget: oversized inputs yield `completed = false`
 // and no data-flow edges (the AST stays control-flow-only).
@@ -17,8 +17,14 @@
 // array (no per-scope heap node), resolution is a per-atom binding stack
 // indexed by the parse-time atom id (no string hashing), and use/
 // assignment sites are chained through a pooled link array and packed
-// into contiguous spans when the traversal finishes. Steady-state (with a
-// DataFlowScratch) the pass allocates only the returned vectors below.
+// into contiguous spans when the traversal finishes. The walk enters only
+// subtrees whose reach bits (Node::reach) hold a node it acts on, so
+// operator soup between identifiers costs nothing. Edges are counted,
+// never listed: a binding contributes (declaration + assignment sites) x
+// uses, less the pairs where a def is the use itself. The edge-list
+// builder survives in the tests as the oracle the counts are checked
+// against (tests/support/graph_oracles.h). Steady-state (with a
+// DataFlowScratch) the pass allocates only the returned bindings.
 #pragma once
 
 #include <cstdint>
@@ -57,8 +63,9 @@ struct DataFlow {
   DataFlow(const DataFlow&) = delete;
   DataFlow& operator=(const DataFlow&) = delete;
 
-  // def -> use edges between Identifier node ids.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  // Number of def -> use edges between Identifier nodes; truncated at the
+  // trip point when `tripped` is set.
+  std::size_t def_use_edges = 0;
   std::vector<Binding> bindings;
   // Backing storage for the bindings' site spans when the pass ran
   // without a scratch. With a scratch the spans alias its pool instead
@@ -72,12 +79,12 @@ struct DataFlow {
   // or when a resource budget stopped edge generation early (see `tripped`).
   bool completed = true;
   // Populated when the attached Budget's data-flow edge ceiling or
-  // deadline stopped the pass; edges are truncated at the trip point. The
+  // deadline stopped the pass; the edge count stops at the trip point. The
   // data-flow stage is soft: the pass records the trip and returns instead
   // of throwing, so the pipeline can degrade around it (DESIGN.md §10).
   std::optional<BudgetTrip> tripped;
 
-  std::size_t edge_count() const { return edges.size(); }
+  std::size_t edge_count() const { return def_use_edges; }
 };
 
 // Reusable builder workspace: every flat table the pass traverses with —
@@ -137,16 +144,17 @@ struct DataFlowOptions {
   // Analysis is skipped (completed=false) above this many AST nodes.
   // Stands in for the paper's two-minute timeout.
   std::size_t node_budget = 2'000'000;
-  // Non-owning per-script budget: charged one unit per def->use edge and
-  // polled for the deadline during reference resolution. nullptr governs
-  // nothing.
+  // Non-owning per-script budget: charged one unit per def->use edge (in
+  // bulk per def, tripping at the same edge as one-by-one charges would)
+  // and polled for the deadline during reference resolution. nullptr
+  // governs nothing.
   Budget* budget = nullptr;
   // Non-owning reusable workspace; nullptr allocates per call (and the
   // returned DataFlow owns its site storage).
   DataFlowScratch* scratch = nullptr;
 };
 
-// Requires a finalized AST.
+// Requires an AST finalized since its last mutation (ids and reach bits).
 DataFlow build_data_flow(const Ast& ast, const DataFlowOptions& options = {});
 
 }  // namespace jst

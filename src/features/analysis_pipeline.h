@@ -19,7 +19,7 @@ struct AnalysisOptions {
   // into the lexer, parser, CFG builder, and data-flow pass. Trips in the
   // hard stages (lex/parse/CFG) throw BudgetExceeded out of
   // analyze_script; a data-flow trip is soft — it is recorded in
-  // DataFlow::tripped and the analysis returns with truncated edges.
+  // DataFlow::tripped and the analysis returns with a truncated edge count.
   Budget* budget = nullptr;
   // Non-owning reusable data-flow builder workspace (capacity survives
   // across scripts); nullptr allocates per call. With a scratch, the

@@ -229,7 +229,7 @@ struct ExtractScratch {
   // spans), threaded through AnalysisOptions::dataflow_scratch when this
   // scratch drives the analysis stage too.
   DataFlowScratch dataflow;
-  // CFG builder workspace (edge list, statement-walk stacks, CSR arrays),
+  // CFG builder workspace (raw edge list, statement-walk stacks),
   // threaded through AnalysisOptions::cfg_scratch alongside `dataflow`.
   CfgScratch cfg;
   // Early-exit traversal stack for script_eligible / ast_eligible.

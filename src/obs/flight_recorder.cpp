@@ -13,7 +13,8 @@ namespace {
 
 void copy_token(char (&dst)[17], std::string_view src) {
   const std::size_t n = src.size() < 16 ? src.size() : 16;
-  std::memcpy(dst, src.data(), n);
+  // An empty view may carry a null data(), which memcpy must not see.
+  if (n > 0) std::memcpy(dst, src.data(), n);
   dst[n] = '\0';
 }
 

@@ -5,6 +5,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -197,6 +198,9 @@ void Server::accept_loop() {
 
 void Server::serve_connection(Connection& connection) {
   std::string buffer;
+  // Bytes of `buffer` already searched for a newline: a line arriving over
+  // many recv()s is scanned once, not once per chunk.
+  std::size_t scanned = 0;
   char chunk[64 * 1024];
   bool open = true;
   while (open && !connection.stop_reading) {
@@ -206,7 +210,7 @@ void Server::serve_connection(Connection& connection) {
     buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t start = 0;
     for (;;) {
-      const std::size_t newline = buffer.find('\n', start);
+      const std::size_t newline = buffer.find('\n', std::max(start, scanned));
       if (newline == std::string::npos) break;
       std::string line = buffer.substr(start, newline - start);
       start = newline + 1;
@@ -218,6 +222,7 @@ void Server::serve_connection(Connection& connection) {
       }
     }
     buffer.erase(0, start);
+    scanned = buffer.size();
   }
   // Every admitted request must be answered before the fd can be closed;
   // see the Connection invariant above.

@@ -123,12 +123,6 @@ class Budget {
 
   // --- hard checkpoints: throw BudgetExceeded on a tripped ceiling ---
 
-  void check_source_bytes(std::size_t bytes) {
-    if (limits_.max_source_bytes > 0 && bytes > limits_.max_source_bytes) {
-      trip(ResourceKind::kSourceBytes, limits_.max_source_bytes, bytes);
-    }
-  }
-
   void charge_tokens(std::size_t n = 1) {
     tokens_ += n;
     if (limits_.max_tokens > 0 && tokens_ > limits_.max_tokens) {

@@ -7,7 +7,10 @@
 // flat SoA/CSR rebuild must reproduce every fingerprint bit for bit,
 // across scratch reuse, JSFuck-style assignment chains, tens of
 // thousands of distinct identifiers, deep let/const shadowing, and
-// catch-parameter scopes. The suite carries the `robustness` label so
+// catch-parameter scopes. The edge lists come from the reference
+// builders (support/graph_oracles.h), since production keeps only counts;
+// every fixture also checks that production's counts, bindings and trip
+// equal the reference's. The suite carries the `robustness` label so
 // the asan/ubsan presets run the open-addressed tables and pooled spans
 // under the sanitizers, and it runs in the JST_THREADS 1/4 matrix
 // alongside the other bit-identity gates.
@@ -23,6 +26,7 @@
 #include "dataflow/dataflow.h"
 #include "parser/parser.h"
 #include "support/budget.h"
+#include "support/graph_oracles.h"
 
 namespace jst {
 namespace {
@@ -43,7 +47,7 @@ std::uint64_t fnv1a(const std::string& bytes) {
 // deterministic for a given source and independent of allocation
 // addresses — and of whether sites live in per-binding vectors (old) or
 // pooled spans (new).
-std::string dataflow_fingerprint_text(const DataFlow& flow) {
+std::string dataflow_fingerprint_text(const oracle::DataFlow& flow) {
   std::string out;
   out.reserve(4096);
   const auto append_u64 = [&out](std::uint64_t value) {
@@ -97,7 +101,7 @@ std::string dataflow_fingerprint_text(const DataFlow& flow) {
   return out;
 }
 
-std::string cfg_fingerprint_text(const ControlFlow& cfg) {
+std::string cfg_fingerprint_text(const oracle::ControlFlow& cfg) {
   std::string out;
   out.reserve(1024);
   const auto append_u64 = [&out](std::uint64_t value) {
@@ -121,9 +125,10 @@ std::string cfg_fingerprint_text(const ControlFlow& cfg) {
   return out;
 }
 
-// Parses `source` and fingerprints data flow + control flow together.
-// `limits` attaches a Budget the way the pipeline does (shared across
-// both passes, stage labels included in any trip).
+// Parses `source` and fingerprints the reference data flow + control
+// flow together. `limits` attaches a Budget the way the pipeline does
+// (shared across both passes, stage labels included in any trip). The
+// production passes, run the same way, must agree with the reference.
 std::uint64_t analysis_fingerprint(const std::string& source,
                                    const ResourceLimits& limits = {},
                                    DataFlowScratch* scratch = nullptr,
@@ -132,14 +137,18 @@ std::uint64_t analysis_fingerprint(const std::string& source,
   Budget budget(limits);
   Budget* attached = limits.any_enabled() ? &budget : nullptr;
   if (attached != nullptr) attached->set_stage("cfg");
-  const ControlFlow cfg = build_control_flow(parsed.ast, attached);
+  const oracle::ControlFlow cfg =
+      oracle::build_control_flow(parsed.ast, attached);
   if (attached != nullptr) attached->set_stage("dataflow");
   DataFlowOptions options;
   options.node_budget = node_budget;
   options.budget = attached;
   options.scratch = scratch;
-  const DataFlow flow = build_data_flow(parsed.ast, options);
-  return fnv1a(dataflow_fingerprint_text(flow) + cfg_fingerprint_text(cfg));
+  const oracle::DataFlow flow = oracle::build_data_flow(parsed.ast, options);
+  const std::uint64_t fingerprint =
+      fnv1a(dataflow_fingerprint_text(flow) + cfg_fingerprint_text(cfg));
+  EXPECT_EQ(oracle::graph_mismatch(parsed.ast, limits, options), "");
+  return fingerprint;
 }
 
 // --- hostile program generators ---------------------------------------

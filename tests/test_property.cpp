@@ -12,6 +12,7 @@
 #include "dataflow/dataflow.h"
 #include "features/feature_extractor.h"
 #include "parser/parser.h"
+#include "support/graph_oracles.h"
 #include "transform/transform.h"
 
 namespace jst {
@@ -62,12 +63,29 @@ TEST_P(SeedSweep, EveryTechniqueParseable) {
   }
 }
 
+// The reach-pruned, count-only graph passes equal the reference builders
+// (support/graph_oracles.h) on the program and on every technique's
+// output, and the reach bits equal a full recomputation.
+TEST_P(SeedSweep, GraphCountsMatchReferenceForAllVariants) {
+  const std::string source = program();
+  std::vector<std::string> variants = {source};
+  for (transform::Technique technique : transform::all_techniques()) {
+    Rng rng(GetParam() ^ static_cast<std::uint64_t>(technique));
+    variants.push_back(transform::apply_technique(technique, source, rng));
+  }
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    const ParseResult parsed = parse_program(variants[i]);
+    EXPECT_EQ(oracle::reach_mismatch(parsed.ast), "") << "variant " << i;
+    EXPECT_EQ(oracle::graph_mismatch(parsed.ast), "") << "variant " << i;
+  }
+}
+
 // CFG invariants: edges reference valid pre-order ids; no self-loops from
 // sequencing (a node never flows to itself).
 TEST_P(SeedSweep, CfgEdgesWellFormed) {
   const std::string source = program();
   ParseResult parsed = parse_program(source);
-  const ControlFlow flow = build_control_flow(parsed.ast);
+  const oracle::ControlFlow flow = oracle::build_control_flow(parsed.ast);
   const std::size_t node_count = parsed.ast.node_count();
   for (const auto& [from, to] : flow.edges) {
     EXPECT_LT(from, node_count);
@@ -81,7 +99,7 @@ TEST_P(SeedSweep, CfgEdgesWellFormed) {
 TEST_P(SeedSweep, DataFlowEdgesLinkIdentifiers) {
   const std::string source = program();
   ParseResult parsed = parse_program(source);
-  const DataFlow flow = build_data_flow(parsed.ast);
+  const oracle::DataFlow flow = oracle::build_data_flow(parsed.ast);
 
   std::vector<const Node*> by_id(parsed.ast.node_count(), nullptr);
   walk_preorder(static_cast<const Node*>(parsed.ast.root()),

@@ -12,7 +12,12 @@
 //    with explicit kOverloaded responses, and drains on shutdown
 //    without abandoning admitted requests.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
+
+#include <chrono>
+#include <cstring>
 
 #include <atomic>
 #include <cmath>
@@ -78,7 +83,7 @@ const analysis::TransformationAnalyzer& shared_analyzer() {
 
 // Wall-clock timings differ run to run; everything else must not.
 std::string strip_timing(const std::string& outcome_json) {
-  static const std::regex kTiming("\"timing\":\\{[^}]*\\},");
+  static const std::regex kTiming("\"timing\":\\{[^}]*\\},?");
   return std::regex_replace(outcome_json, kTiming, "");
 }
 
@@ -595,6 +600,81 @@ TEST_F(ServerFixture, MalformedLineAnswersInvalidRequest) {
   EXPECT_EQ(parsed->status, analysis::ResponseStatus::kInvalidRequest);
   // The connection survives the bad line.
   EXPECT_TRUE(client.ping());
+}
+
+// Opens a connection, writes `pieces` with one send() each (1 ms apart,
+// so the daemon's recv() sees them separately) and returns the first
+// response line.
+std::string send_in_pieces(const std::string& socket_path,
+                           const std::vector<std::string>& pieces) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return "socket failed";
+  sockaddr_un address{};
+  address.sun_family = AF_UNIX;
+  std::strncpy(address.sun_path, socket_path.c_str(),
+               sizeof(address.sun_path) - 1);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&address),
+                sizeof(address)) != 0) {
+    ::close(fd);
+    return "connect failed";
+  }
+  for (const std::string& piece : pieces) {
+    std::size_t sent = 0;
+    while (sent < piece.size()) {
+      const ssize_t n =
+          ::send(fd, piece.data() + sent, piece.size() - sent, MSG_NOSIGNAL);
+      if (n <= 0) break;
+      sent += static_cast<std::size_t>(n);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::string response;
+  char chunk[4096];
+  while (response.find('\n') == std::string::npos) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) break;
+    response.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return response.substr(0, response.find('\n'));
+}
+
+// The comparable part of a response line: everything but timings.
+std::string response_identity(const std::string& line) {
+  std::string error;
+  const auto parsed = analysis::wire::parse_analyze_response(line, &error);
+  if (!parsed.has_value()) return "unparsed: " + error;
+  return std::string(analysis::to_string(parsed->status)) + " " + parsed->id +
+         " " + parsed->source_hash + " " + parsed->outcome_status + " " +
+         strip_timing(support::to_json(parsed->outcome));
+}
+
+// A request line longer than the daemon's 64 KiB read chunk gets the same
+// response whether it is written whole, in many small pieces (the newline
+// alone in the last one), or terminated by CRLF.
+TEST_F(ServerFixture, PiecewiseAndCrlfRequestsMatchWholeOnes) {
+  StartServer("pieces", server::ServerConfig{});
+  const std::string source =
+      seed_corpus()[0] + "\n//" + std::string(150 * 1024, 'p');
+  const std::string line = analysis::wire::analyze_request_json(
+      analysis::AnalyzeRequest::for_source(source, "long"));
+  ASSERT_GT(line.size(), 128u * 1024);
+
+  const std::string whole =
+      send_in_pieces(daemon_->socket_path(), {line + "\n"});
+  std::vector<std::string> pieces;
+  for (std::size_t at = 0; at < line.size(); at += 4093) {
+    pieces.push_back(line.substr(at, 4093));
+  }
+  pieces.push_back("\n");
+  const std::string piecewise = send_in_pieces(daemon_->socket_path(), pieces);
+  const std::string crlf =
+      send_in_pieces(daemon_->socket_path(), {line + "\r\n"});
+
+  const std::string expected = response_identity(whole);
+  ASSERT_EQ(expected.rfind("ok long ", 0), 0u) << expected;
+  EXPECT_EQ(response_identity(piecewise), expected);
+  EXPECT_EQ(response_identity(crlf), expected);
 }
 
 // Deterministic overload: one worker with a 150 ms service floor and a
