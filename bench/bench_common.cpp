@@ -75,18 +75,6 @@ std::string write_bench_json(std::string_view bench,
     writer.key("scripts"); writer.value(record.scripts);
     writer.key("wall_ms"); writer.value(record.wall_ms);
     writer.key("scripts_per_second"); writer.value(record.scripts_per_second);
-    if (record.lex_ms > 0.0) {
-      writer.key("lex_ms"); writer.value(record.lex_ms);
-      writer.key("parse_ms"); writer.value(record.parse_ms);
-      writer.key("frontend_ms"); writer.value(record.lex_ms + record.parse_ms);
-      writer.key("postparse_ms"); writer.value(record.postparse_ms);
-      if (record.static_ms > 0.0 || record.features_ms > 0.0 ||
-          record.inference_ms > 0.0) {
-        writer.key("static_ms"); writer.value(record.static_ms);
-        writer.key("features_ms"); writer.value(record.features_ms);
-        writer.key("inference_ms"); writer.value(record.inference_ms);
-      }
-    }
     if (record.cache_hit_rate >= 0.0) {
       writer.key("cache_hit_rate"); writer.value(record.cache_hit_rate);
     }

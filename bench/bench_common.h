@@ -48,24 +48,6 @@ struct BenchRecord {
   double wall_ms = 0.0;     // batch wall time for this config
   double scripts_per_second = 0.0;
   std::string stats_json;  // optional BatchStats::to_json() payload
-  // Optional front-end stage split (bench_pipeline_throughput
-  // --stage-split): serial milliseconds over the corpus spent in
-  // tokenize-only (lex_ms), in parse_program minus the lex share
-  // (parse_ms), and in everything after the parse (postparse_ms).
-  // Emitted only when a split was measured (lex_ms > 0); bench_lexer
-  // reports its directly timed parse_ms with the token block below.
-  double lex_ms = 0.0;
-  double parse_ms = 0.0;
-  double postparse_ms = 0.0;
-  // Post-parse decomposition (also --stage-split): postparse_ms broken
-  // into the static-analysis stage (CFG + data flow + the eligibility
-  // walk, static_ms), feature extraction (features_ms), and the
-  // remainder of the serial batch wall (inference plus outcome
-  // assembly, inference_ms). Emitted only when the decomposition was
-  // measured; bench/README.md documents the capture method.
-  double static_ms = 0.0;
-  double features_ms = 0.0;
-  double inference_ms = 0.0;
   // Optional serving-path measurements (bench_server_latency): client-
   // observed round-trip percentiles, shed fraction, and the sustained
   // request rate the closed-loop clients achieved. Emitted only when a
@@ -85,11 +67,12 @@ struct BenchRecord {
   std::size_t bytes = 0;
   double mb_per_second = 0.0;
   // Optional token and parse measurements (bench_lexer): tokens per
-  // pass and their rate over the tokenize-only pass, the parse-only time
-  // (in parse_ms), and the pooled front-end arena's peak bytes. Emitted
-  // only when tokens > 0.
+  // pass and their rate over the tokenize-only pass, the parse-only time,
+  // and the pooled front-end arena's peak bytes. Emitted only when
+  // tokens > 0.
   std::size_t tokens = 0;
   double tokens_per_second = 0.0;
+  double parse_ms = 0.0;
   std::size_t peak_arena_bytes = 0;
 };
 

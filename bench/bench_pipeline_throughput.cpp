@@ -4,7 +4,6 @@
 //
 //   $ ./bench_pipeline_throughput                 # sweeps 1/2/4 threads
 //   $ ./bench_pipeline_throughput --threads 8     # pins the batch width
-//   $ ./bench_pipeline_throughput --stage-split   # lex/parse/post-parse ms
 //   $ ./bench_pipeline_throughput --obs-overhead  # sinks on vs off, <=2%?
 #include <benchmark/benchmark.h>
 
@@ -225,120 +224,6 @@ void BM_AnalyzeBatch(benchmark::State& state) {
   batch_records()[record.config] = std::move(record);
 }
 
-// Front-end stage split (--stage-split): one serial pass over the batch
-// corpus per stage, pooled arenas reset per script (the steady-state
-// analyze_batch configuration), best of `reps` repetitions. Each pass is
-// a strict prefix of the pipeline, so subtracting consecutive passes
-// attributes the wall time of exactly one stage:
-//
-//   lex_ms       tokenize-only pass (Lexer::tokenize into a pooled arena)
-//   parse_ms     parse_program total minus the lex share
-//   static_ms    analyze_script + eligibility walk minus parse_program
-//                (CFG + data flow + the §III-D1 AST walk)
-//   features_ms  the same pass plus extract_into, minus the static pass
-//   inference_ms serial analyze_batch wall minus the features pass
-//                (prediction plus per-script outcome assembly)
-//   postparse_ms serial analyze_batch wall minus the front end
-//                (== static_ms + features_ms + inference_ms)
-//
-// The method is documented in bench/README.md; the committed
-// BENCH_pipeline.json carries paired pr4/pr5 rows captured with it.
-jst::bench::BenchRecord run_stage_split(int reps) {
-  using clock = std::chrono::steady_clock;
-  const auto ms_since = [](clock::time_point start) {
-    return std::chrono::duration<double, std::milli>(clock::now() - start)
-        .count();
-  };
-  const std::vector<std::string> corpus =
-      jst::bench::held_out_regular(48, 0xba7c4);
-  const std::vector<analysis::AnalyzeRequest> requests =
-      analysis::make_source_requests(corpus);
-  const auto& model = jst::bench::analyzer();
-  const analysis::AnalyzerService service(model);
-  analysis::BatchOptions options;
-  options.threads = 1;
-
-  // The post-parse passes reuse one scratch set the way a batch worker
-  // does: pooled arena, data-flow workspace, and extraction scratch.
-  const features::FeatureConfig& feature_config =
-      model.options().detector.features;
-  features::ExtractScratch extract_scratch;
-  AnalysisOptions analysis_options = feature_config.analysis;
-
-  double lex_ms = 1e300, frontend_ms = 1e300, static_total_ms = 1e300,
-         features_total_ms = 1e300, batch_ms = 1e300;
-  double scripts_per_second = 0.0;
-  support::Arena arena;
-  support::AtomTable atoms;
-  analysis_options.arena = &arena;
-  analysis_options.atoms = &atoms;
-  analysis_options.dataflow_scratch = &extract_scratch.dataflow;
-  analysis_options.cfg_scratch = &extract_scratch.cfg;
-  for (int rep = 0; rep < reps; ++rep) {
-    const auto lex_start = clock::now();
-    for (const std::string& source : corpus) {
-      arena.reset();
-      benchmark::DoNotOptimize(Lexer::tokenize(source, arena));
-    }
-    lex_ms = std::min(lex_ms, ms_since(lex_start));
-
-    const auto parse_start = clock::now();
-    for (const std::string& source : corpus) {
-      benchmark::DoNotOptimize(
-          parse_program(source, nullptr, &arena, &atoms).ast.node_count());
-    }
-    frontend_ms = std::min(frontend_ms, ms_since(parse_start));
-
-    const auto static_start = clock::now();
-    for (const std::string& source : corpus) {
-      const ScriptAnalysis analysis = analyze_script(source, analysis_options);
-      benchmark::DoNotOptimize(
-          script_eligible(analysis, &extract_scratch.eligibility_stack));
-    }
-    static_total_ms = std::min(static_total_ms, ms_since(static_start));
-
-    const auto features_start = clock::now();
-    for (const std::string& source : corpus) {
-      const ScriptAnalysis analysis = analyze_script(source, analysis_options);
-      benchmark::DoNotOptimize(
-          script_eligible(analysis, &extract_scratch.eligibility_stack));
-      benchmark::DoNotOptimize(
-          features::extract_into(analysis, feature_config, extract_scratch)
-              .data());
-    }
-    features_total_ms = std::min(features_total_ms, ms_since(features_start));
-
-    const auto batch_start = clock::now();
-    const analysis::BatchResponse result =
-        service.analyze_batch(requests, options);
-    benchmark::DoNotOptimize(result.stats.ok);
-    batch_ms = std::min(batch_ms, ms_since(batch_start));
-    scripts_per_second =
-        std::max(scripts_per_second, result.stats.scripts_per_second);
-  }
-
-  jst::bench::BenchRecord record;
-  record.config = "stage-split,threads=1,limits=off";
-  record.threads = 1;
-  record.scripts = corpus.size();
-  record.wall_ms = batch_ms;
-  record.scripts_per_second = scripts_per_second;
-  record.lex_ms = lex_ms;
-  record.parse_ms = std::max(0.0, frontend_ms - lex_ms);
-  record.postparse_ms = std::max(0.0, batch_ms - frontend_ms);
-  record.static_ms = std::max(0.0, static_total_ms - frontend_ms);
-  record.features_ms = std::max(0.0, features_total_ms - static_total_ms);
-  record.inference_ms = std::max(0.0, batch_ms - features_total_ms);
-  std::printf(
-      "stage-split (best of %d, serial, %zu scripts): lex %.3f ms, "
-      "parse %.3f ms, front end %.3f ms, post-parse %.3f ms "
-      "(static %.3f ms, features %.3f ms, inference %.3f ms)\n",
-      reps, corpus.size(), record.lex_ms, record.parse_ms, frontend_ms,
-      record.postparse_ms, record.static_ms, record.features_ms,
-      record.inference_ms);
-  return record;
-}
-
 // Observability-overhead smoke (--obs-overhead): the serial batch wall
 // with the flight recorder enabled (the serving default) vs disabled,
 // best of `reps` each. The budget is 2% — the instrumented path must not
@@ -395,7 +280,6 @@ int run_obs_overhead(int reps) {
 int main(int argc, char** argv) {
   // Extract our own flags before google-benchmark parses argv.
   long pinned_threads = 0;
-  bool stage_split = false;
   bool obs_overhead = false;
   int out = 1;
   for (int i = 1; i < argc; ++i) {
@@ -403,8 +287,6 @@ int main(int argc, char** argv) {
       pinned_threads = std::atol(argv[++i]);
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       pinned_threads = std::atol(argv[i] + 10);
-    } else if (std::strcmp(argv[i], "--stage-split") == 0) {
-      stage_split = true;
     } else if (std::strcmp(argv[i], "--obs-overhead") == 0) {
       obs_overhead = true;
     } else {
@@ -434,10 +316,7 @@ int main(int argc, char** argv) {
     benchmark::Shutdown();
     return status;
   }
-  // --stage-split is a standalone report: it skips the google-benchmark
-  // sweep. Both modes write BENCH_pipeline.json, so when capturing both
-  // point each run at its own $JSTRACED_BENCH_OUT.
-  if (!stage_split) benchmark::RunSpecifiedBenchmarks();
+  benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 
   // Record the perf trajectory machine-readably (one row per
@@ -447,7 +326,6 @@ int main(int argc, char** argv) {
   for (auto& [config, record] : batch_records()) {
     records.push_back(std::move(record));
   }
-  if (stage_split) records.push_back(run_stage_split(/*reps=*/5));
   if (!records.empty()) jst::bench::write_bench_json("pipeline", records);
   return 0;
 }

@@ -105,9 +105,8 @@ std::vector<double> Level2Detector::predict_proba(
 
 std::vector<transform::Technique> Level2Detector::predict_techniques(
     std::span<const float> row, ml::PredictScratch& scratch) const {
-  compiled_.predict_topk_thresholded(row, config_.level2_topk,
-                                     config_.level2_threshold, scratch,
-                                     scratch.picked);
+  compiled_.predict_topk_thresholded(row, kLevel2TopK, kLevel2Threshold,
+                                     scratch, scratch.picked);
   return techniques_from_indices(scratch.picked);
 }
 

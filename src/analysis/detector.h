@@ -13,15 +13,16 @@
 
 namespace jst::analysis {
 
+// The paper's level-2 decision rule (§III-E2): up to kLevel2TopK
+// techniques whose confidence clears kLevel2Threshold (empirically 10%).
+inline constexpr double kLevel2Threshold = 0.10;
+inline constexpr std::size_t kLevel2TopK = 7;
+
 struct DetectorConfig {
   features::FeatureConfig features;
   ml::ForestParams forest;
   // Classifier-chain (paper's pick) vs. independence assumption.
   bool classifier_chain = true;
-  // Level-2 decision rule: up to `topk` labels whose confidence clears
-  // `threshold` (empirically 10% in the paper, §III-E2).
-  double level2_threshold = 0.10;
-  std::size_t level2_topk = 7;
 };
 
 // Level 1: multi-task over {regular, minified, obfuscated}.
@@ -83,8 +84,8 @@ class Level2Detector {
   void predict_proba(std::span<const float> row, ml::PredictScratch& scratch,
                      std::vector<double>& out) const;
 
-  // Paper's final rule: the top-k most confident techniques above the
-  // threshold.
+  // Paper's final rule: the kLevel2TopK most confident techniques above
+  // kLevel2Threshold.
   std::vector<transform::Technique> predict_techniques(
       std::span<const float> row) const;
   std::vector<transform::Technique> predict_techniques(

@@ -167,16 +167,11 @@ std::string BatchStats::to_json() const {
 
 AnalyzerService::AnalyzerService(const TransformationAnalyzer& analyzer,
                                  ResultCache* cache)
-    : analyzer_(&analyzer) {
+    : analyzer_(&analyzer), cache_(cache) {
   if (!analyzer.trained()) {
     throw ModelError("AnalyzerService: analyzer is not trained");
   }
-  set_cache(cache);
-}
-
-void AnalyzerService::set_cache(ResultCache* cache) {
-  cache_ = cache;
-  if (cache_ != nullptr && model_fingerprint_.empty()) {
+  if (cache_ != nullptr) {
     // One serialization pass pins the model_version cache-key component:
     // any retrain or options change alters the stream and so the key.
     std::ostringstream serialized;

@@ -255,9 +255,6 @@ class AnalyzerService {
 
   const TransformationAnalyzer& analyzer() const { return *analyzer_; }
 
-  // Attach (or detach, with nullptr) the result cache. Not thread-safe
-  // against in-flight analyze calls; configure before serving.
-  void set_cache(ResultCache* cache);
   ResultCache* cache() const { return cache_; }
 
   // FNV-1a 64 of the serialized trained model as 16 lowercase hex — the

@@ -11,6 +11,9 @@
 namespace jst {
 namespace {
 
+// Spaces per indentation level in pretty mode.
+constexpr int kIndentWidth = 2;
+
 // Expression precedence levels (higher binds tighter).
 enum Precedence : int {
   kPrecSequence = 0,
@@ -177,7 +180,7 @@ class Printer {
     }
     out_ += '\n';
     column_ = 0;
-    for (int i = 0; i < indent_ * options_.indent_width; ++i) {
+    for (int i = 0; i < indent_ * kIndentWidth; ++i) {
       out_ += ' ';
       ++column_;
     }
@@ -210,7 +213,7 @@ class Printer {
       out_ += '\n';
       column_ = 0;
     }
-    for (int i = 0; i < indent_ * options_.indent_width; ++i) {
+    for (int i = 0; i < indent_ * kIndentWidth; ++i) {
       out_ += ' ';
       ++column_;
     }
@@ -992,16 +995,10 @@ class Printer {
           raw("\"");
           break;
         }
-        const char quote = options_.single_quotes ? '\'' : '"';
-        raw(std::string(1, quote));
+        raw("\"");
         for (char c : node.str_value) {
           switch (c) {
-            case '\'':
-              raw(quote == '\'' ? "\\'" : "'");
-              break;
-            case '"':
-              raw(quote == '"' ? "\\\"" : "\"");
-              break;
+            case '"': raw("\\\""); break;
             case '\\': raw("\\\\"); break;
             case '\n': raw("\\n"); break;
             case '\r': raw("\\r"); break;
@@ -1021,7 +1018,7 @@ class Printer {
               }
           }
         }
-        raw(std::string(1, quote));
+        raw("\"");
         column_ += node.str_value.size() + 2;
         break;
       }

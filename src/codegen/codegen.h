@@ -1,8 +1,8 @@
 // AST -> JavaScript source printer.
 //
 // Two modes:
-//  - Pretty: indented, one statement per line, spaces around operators —
-//    the "regular code" shape.
+//  - Pretty: indented by two spaces, one statement per line, spaces around
+//    operators — the "regular code" shape.
 //  - Minified: no redundant whitespace, everything on one line — the shape
 //    produced by minifiers (the minification transformers build on this).
 //
@@ -18,14 +18,10 @@ namespace jst {
 
 struct CodegenOptions {
   bool minify = false;
-  // Indentation width for pretty mode.
-  int indent_width = 2;
   // In minified mode, insert a newline after roughly this many characters
   // (0 = never). Real minifiers wrap around 500-32000 chars; keeping a
   // finite line length makes char-per-line features realistic.
   std::size_t minified_line_limit = 0;
-  // Prefer single quotes for string literals.
-  bool single_quotes = false;
 };
 
 // Renders a full program (or any statement/expression subtree).

@@ -7,6 +7,15 @@
 #include "support/strings.h"
 
 namespace jst::corpus {
+namespace {
+
+// Top-level items stop at this count even if the program is still
+// shorter than GeneratorOptions::min_bytes.
+constexpr std::size_t kMaxTopLevelItems = 60;
+// Chance of a blank line before each printed line.
+constexpr double kBlankLineProbability = 0.14;
+
+}  // namespace
 
 ProgramGenerator::ProgramGenerator(std::uint64_t seed) : rng_(seed) {}
 
@@ -570,7 +579,7 @@ std::string ProgramGenerator::inject_comments(const std::string& source,
       out += rng_.choice(comment_pool());
       out += '\n';
     }
-    if (rng_.bernoulli(options.blank_line_probability)) out += '\n';
+    if (rng_.bernoulli(kBlankLineProbability)) out += '\n';
     out += line;
     out += '\n';
   }
@@ -589,7 +598,7 @@ std::string ProgramGenerator::generate(const GeneratorOptions& options) {
   std::string printed;
   std::size_t items = 0;
   // Keep appending top-level items until the printed source is big enough.
-  while (items < options.max_top_level_items) {
+  while (items < kMaxTopLevelItems) {
     program->kids.push_back(gen_top_level_item(options));
     ++items;
     if (items >= 3) {

@@ -17,9 +17,7 @@ namespace jst::corpus {
 
 struct GeneratorOptions {
   std::size_t min_bytes = 768;
-  std::size_t max_top_level_items = 60;
   double comment_line_probability = 0.12;
-  double blank_line_probability = 0.14;
   bool allow_classes = true;
   // Stylistic flavor: 0 = generic library, 1 = browser (DOM APIs),
   // 2 = Node.js (require/module.exports).

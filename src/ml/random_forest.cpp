@@ -22,8 +22,6 @@ void RandomForest::fit(const Matrix& data, std::span<const std::uint8_t> labels,
   trees_.resize(params.tree_count);
   feature_count_ = data.column_count();
   const std::size_t row_count = data.row_count();
-  const auto sample_count = static_cast<std::size_t>(
-      static_cast<double>(row_count) * params.bootstrap_fraction);
   // One seed per tree, drawn serially from the caller's stream: tree t sees
   // the same RNG stream no matter how many threads train the forest, so the
   // fitted model is bit-identical for every params.threads value.
@@ -37,8 +35,7 @@ void RandomForest::fit(const Matrix& data, std::span<const std::uint8_t> labels,
         JST_SPAN("forest.fit_tree");
         const auto start = std::chrono::steady_clock::now();
         Rng tree_rng(seeds[t]);
-        std::vector<std::size_t> bootstrap(
-            std::max<std::size_t>(sample_count, 1));
+        std::vector<std::size_t> bootstrap(row_count);
         for (std::size_t& index : bootstrap) index = tree_rng.index(row_count);
         trees_[t].fit(data, labels, bootstrap, params.tree, tree_rng);
         tree_fit_ms.record(std::chrono::duration<double, std::milli>(

@@ -14,10 +14,10 @@
 namespace jst::ml {
 
 struct ForestParams {
+  // Each tree trains on a bootstrap sample: row_count rows drawn with
+  // replacement.
   std::size_t tree_count = 48;
   TreeParams tree;
-  // Bootstrap sample fraction (with replacement).
-  double bootstrap_fraction = 1.0;
   // Training parallelism (0 = JST_THREADS / hardware default, 1 = serial).
   // Runtime knob only — not part of the serialized model, and the trained
   // forest is bit-identical for every value (each tree trains from its own

@@ -70,10 +70,6 @@ class Histogram {
   // Upper bound (inclusive) of each bucket; the last is +Inf.
   static const std::array<double, kBucketCount>& layout_bounds(
       HistogramLayout layout);
-  // Legacy alias for the latency layout's bounds.
-  static const std::array<double, kBucketCount>& bucket_bounds() {
-    return layout_bounds(HistogramLayout::kLatencyMs);
-  }
 
   explicit Histogram(HistogramLayout layout = HistogramLayout::kLatencyMs)
       : layout_(layout) {}

@@ -24,20 +24,12 @@
 // released the caller. Corollary: never call set_trace_sink while the
 // calling thread itself holds an open span. Spans nest naturally:
 // Perfetto stacks same-thread events by interval containment.
-//
-// Compile-time switch: building with -DJST_TRACING=0 (CMake option
-// JSTRACED_TRACING=OFF) turns JST_SPAN into a no-op statement; the
-// default keeps spans compiled in, runtime-gated.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <mutex>
-
-#ifndef JST_TRACING
-#define JST_TRACING 1
-#endif
 
 namespace jst::obs {
 
@@ -68,7 +60,6 @@ class TraceSink {
 // Passing nullptr disables tracing (spans cost one branch again).
 TraceSink* set_trace_sink(TraceSink* sink);
 TraceSink* trace_sink();
-inline bool trace_enabled() { return trace_sink() != nullptr; }
 
 // Small dense id per OS thread (0 = first thread to trace), stable for
 // the thread's lifetime; used as the trace `tid`.
@@ -124,9 +115,5 @@ class Span {
 
 #define JST_OBS_CONCAT_INNER(a, b) a##b
 #define JST_OBS_CONCAT(a, b) JST_OBS_CONCAT_INNER(a, b)
-#if JST_TRACING
 #define JST_SPAN(name) \
   ::jst::obs::Span JST_OBS_CONCAT(jst_obs_span_, __LINE__)(name)
-#else
-#define JST_SPAN(name) static_cast<void>(0)
-#endif

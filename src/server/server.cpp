@@ -20,6 +20,29 @@
 namespace jst::server {
 namespace {
 
+// Content-hash registry backing source_hash references: bounded both by
+// entry count (this) and by ServerConfig::hash_registry_bytes, evicting
+// least-recently-used entries (a registration or a successful resolution
+// is a use) instead of refusing inserts once full. A source larger than
+// the effective request limits' max_source_bytes is never registered —
+// the registry can't be used to pin sources the pipeline would refuse to
+// analyze.
+constexpr std::size_t kHashRegistryEntries = 4096;
+// Upper bound on any single blocking send to a client, in milliseconds
+// (SO_SNDTIMEO on every accepted fd). A client that stops reading its
+// responses is dropped when a write stalls past this, instead of pinning
+// the writer (a pool worker lane, or the reader answering an op) on a
+// full socket buffer forever.
+constexpr std::size_t kWriteTimeoutMs = 10000;
+// Warm-up rule: the windowed p95 steers admission only once the window
+// holds at least this many observations; colder than that, admission
+// falls back to the cumulative jst_server_service_ms p95 (which early on
+// *is* recent traffic). Guards the estimate against one or two unlucky
+// samples right after boot or after an idle gap.
+constexpr std::size_t kWindowWarmMinCount = 16;
+// Slowest-N exemplar table size (distinct source_hash entries kept).
+constexpr std::size_t kSlowExemplars = 8;
+
 // Daemon telemetry (DESIGN.md §13). One shared instrument family: the
 // registry is process-wide, and a process runs one serving daemon (tests
 // that start several servers share the family, which only blends the p95
@@ -64,9 +87,9 @@ ServerMetrics& server_metrics() {
 // Writes the whole buffer, retrying on EINTR / partial writes. Returns
 // false on any hard error (EPIPE when the peer vanished is the common
 // one); MSG_NOSIGNAL keeps a dead peer from killing the daemon. The fd
-// carries SO_SNDTIMEO (ServerConfig::write_timeout_ms), so a client that
-// stops reading surfaces here as EAGAIN within the timeout instead of
-// blocking the writer — and its write_mutex — forever.
+// carries SO_SNDTIMEO (kWriteTimeoutMs), so a client that stops reading
+// surfaces here as EAGAIN within the timeout instead of blocking the
+// writer — and its write_mutex — forever.
 bool write_all(int fd, std::string_view data) {
   while (!data.empty()) {
     const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
@@ -79,12 +102,11 @@ bool write_all(int fd, std::string_view data) {
   return true;
 }
 
-// Bounds every blocking send on `fd` to `timeout_ms` (0 = unbounded).
-void set_send_timeout(int fd, std::size_t timeout_ms) {
-  if (timeout_ms == 0) return;
+// Bounds every blocking send on `fd` to kWriteTimeoutMs.
+void set_send_timeout(int fd) {
   timeval tv{};
-  tv.tv_sec = static_cast<time_t>(timeout_ms / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((timeout_ms % 1000) * 1000);
+  tv.tv_sec = static_cast<time_t>(kWriteTimeoutMs / 1000);
+  tv.tv_usec = static_cast<suseconds_t>((kWriteTimeoutMs % 1000) * 1000);
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 }
 
@@ -100,10 +122,13 @@ double elapsed_ms(std::chrono::steady_clock::time_point since) {
 // responses are written by pool workers under `write_mutex`. The fd is
 // closed only by the reader thread, after every admitted request from
 // this connection has been answered (`pending` reaching 0), so a pool
-// worker can never write into a recycled descriptor.
+// worker can never write into a recycled descriptor. `done` is the
+// reader's last write: the connection is then idle for good, and the
+// accept loop joins and frees it.
 struct Server::Connection {
   int fd = -1;
   std::thread reader;
+  std::atomic<bool> done{false};
   std::mutex write_mutex;
   std::mutex pending_mutex;
   std::condition_variable pending_zero;
@@ -130,7 +155,7 @@ Server::Server(const analysis::AnalyzerService& service, ServerConfig config)
       service_window_(config_.window_seconds),
       requests_window_(config_.window_seconds),
       shed_window_(config_.window_seconds),
-      slow_exemplars_(config_.slow_exemplars) {
+      slow_exemplars_(kSlowExemplars) {
   if (config_.socket_path.empty()) {
     throw std::runtime_error("jstraced-server: socket_path is empty");
   }
@@ -179,7 +204,7 @@ void Server::accept_loop() {
       if (errno == EINTR) continue;
       return;  // listening socket closed (shutdown) or hard error
     }
-    set_send_timeout(fd, config_.write_timeout_ms);
+    set_send_timeout(fd);
     server_metrics().connections.add(1);
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -190,6 +215,13 @@ void Server::accept_loop() {
     Connection* raw = connection.get();
     {
       std::lock_guard<std::mutex> lock(connections_mutex_);
+      // Reap connections whose reader has finished (its thread is exiting),
+      // so a long-lived daemon holds threads and stacks only for open ones.
+      std::erase_if(connections_, [](const std::unique_ptr<Connection>& c) {
+        if (!c->done) return false;
+        c->reader.join();
+        return true;
+      });
       connections_.push_back(std::move(connection));
     }
     raw->reader = std::thread([this, raw] { serve_connection(*raw); });
@@ -231,9 +263,12 @@ void Server::serve_connection(Connection& connection) {
     connection.pending_zero.wait(lock,
                                  [&] { return connection.pending == 0; });
   }
-  std::lock_guard<std::mutex> lock(connection.write_mutex);
-  ::close(connection.fd);
-  connection.fd = -1;
+  {
+    std::lock_guard<std::mutex> lock(connection.write_mutex);
+    ::close(connection.fd);
+    connection.fd = -1;
+  }
+  connection.done = true;
 }
 
 void Server::handle_line(Connection& connection, const std::string& line) {
@@ -265,6 +300,10 @@ void Server::handle_line(Connection& connection, const std::string& line) {
       analysis::AnalyzeResponse response;
       response.status = analysis::ResponseStatus::kInvalidRequest;
       response.error = "unknown op '" + name + "'";
+      {
+        std::lock_guard<std::mutex> lock(stats_mutex_);
+        ++stats_.requests_invalid;
+      }
       respond(connection, response);
       return;
     }
@@ -563,10 +602,7 @@ void Server::write_line(Connection& connection, const std::string& data) {
 void Server::register_source(const std::string& hash,
                              const std::string& source,
                              std::size_t max_entry_bytes) {
-  if (config_.hash_registry_entries == 0 ||
-      config_.hash_registry_bytes == 0) {
-    return;
-  }
+  if (config_.hash_registry_bytes == 0) return;
   // Per-entry caps: a source the request's own limits would refuse, or
   // one bigger than the whole byte budget, never enters the registry.
   if (max_entry_bytes > 0 && source.size() > max_entry_bytes) return;
@@ -581,7 +617,7 @@ void Server::register_source(const std::string& hash,
   // Evict least-recently-used entries until both budgets admit the new
   // source; the caps guarantee this terminates with room to spare.
   while (!registry_lru_.empty() &&
-         (registry_index_.size() >= config_.hash_registry_entries ||
+         (registry_index_.size() >= kHashRegistryEntries ||
           registry_bytes_ + source.size() > config_.hash_registry_bytes)) {
     registry_bytes_ -= registry_lru_.back().second.size();
     registry_index_.erase(registry_lru_.back().first);
@@ -628,7 +664,7 @@ ServerStats Server::stats() const {
 
 double Server::admission_p95_ms() const {
   const obs::WindowSnapshot recent = service_window_.snapshot();
-  if (recent.count >= config_.window_warm_min_count) return recent.p95;
+  if (recent.count >= kWindowWarmMinCount) return recent.p95;
   // Cold window (boot, or an idle gap aged everything out): since-boot
   // p95 is the best available estimate and is exact early on.
   return server_metrics().service_ms.p95();
@@ -652,7 +688,7 @@ std::string Server::stats_json() const {
   writer.key("window_seconds");
   writer.value(service_window_.window_seconds());
   writer.key("warm");
-  writer.value(recent.count >= config_.window_warm_min_count);
+  writer.value(recent.count >= kWindowWarmMinCount);
   writer.key("queue_depth"); writer.value(depth);
   writer.key("workers"); writer.value(workers_);
   writer.key("admission_p95_ms"); writer.value(admission_p95_ms());
@@ -731,14 +767,15 @@ void Server::shutdown() {
   if (stopped_.exchange(true)) return;
   draining_.store(true, std::memory_order_relaxed);
 
-  // Stop accepting: closing the listening socket fails the blocking
-  // accept() and ends the accept loop.
+  // Stop accepting: shutting the listening socket down fails the blocking
+  // accept() and ends the accept loop. The fd is closed only after the
+  // loop has stopped, so the loop never reads a closed (or reused) fd.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
 
   // Drain: every admitted request gets its response before any
   // connection is torn down. Requests read after this point are answered

@@ -87,31 +87,14 @@ struct ServerConfig {
   // and drain tests use it to make queue pressure reproducible on corpora
   // whose real scripts analyze in microseconds; 0 disables.
   double min_service_ms = 0.0;
-  // Content-hash registry backing source_hash references: bounded both by
-  // entry count and by total stored bytes, evicting least-recently-used
-  // entries (a registration or a successful resolution is a use) instead
-  // of refusing inserts once full. A source larger than the effective
-  // request limits' max_source_bytes is never registered — the registry
-  // can't be used to pin sources the pipeline would refuse to analyze.
-  // hash_registry_entries = 0 disables resolution entirely.
-  std::size_t hash_registry_entries = 4096;
+  // Byte budget of the content-hash registry backing source_hash
+  // references (its entry count is capped at 4096; both caps evict
+  // least-recently-used entries). 0 disables resolution entirely.
   std::size_t hash_registry_bytes = 64 * 1024 * 1024;
-  // Upper bound on any single blocking send to a client, in milliseconds
-  // (SO_SNDTIMEO on every accepted fd). A client that stops reading its
-  // responses is dropped when a write stalls past this, instead of
-  // pinning the writer (a pool worker lane, or the reader answering an
-  // op) on a full socket buffer forever. 0 = unbounded.
-  std::size_t write_timeout_ms = 10000;
   // Sliding window (seconds) behind the recent-traffic view: the
   // admission p95, {"op":"stats"} rates, and the shed-burst detector all
   // read this window rather than since-boot aggregates.
   std::size_t window_seconds = 60;
-  // Warm-up rule: the windowed p95 steers admission only once the window
-  // holds at least this many observations; colder than that, admission
-  // falls back to the cumulative jst_server_service_ms p95 (which early
-  // on *is* recent traffic). Guards the estimate against one or two
-  // unlucky samples right after boot or after an idle gap.
-  std::size_t window_warm_min_count = 16;
   // Overload forensics: when this many requests were shed within the
   // window, dump the flight recorder to `flight_dump_path` (at most once
   // per window). 0 disables the trigger.
@@ -120,8 +103,6 @@ struct ServerConfig {
   // SIGUSR1 in the daemon binary). Empty disables automatic dumps;
   // {"op":"flight"} works regardless.
   std::string flight_dump_path;
-  // Slowest-N exemplar table size (distinct source_hash entries kept).
-  std::size_t slow_exemplars = 8;
 };
 
 // Point-in-time counters for tests and the drain log line.
@@ -164,10 +145,10 @@ class Server {
   std::string stats_json() const;
 
   // The p95 service-time estimate admission control consults: the
-  // sliding-window p95 once the window holds at least
-  // `window_warm_min_count` samples, else the cumulative histogram's
-  // p95 (the stale-admission fix — a slow burst ages out of the window
-  // instead of poisoning the estimate for the life of the process).
+  // sliding-window p95 once the window holds at least 16 samples, else
+  // the cumulative histogram's p95 (the stale-admission fix — a slow
+  // burst ages out of the window instead of poisoning the estimate for
+  // the life of the process).
   double admission_p95_ms() const;
 
   // The admission-control predicate (DESIGN.md §13), exposed as a pure
@@ -192,8 +173,8 @@ class Server {
                        std::size_t depth_at_admission);
   void respond(Connection& connection, const analysis::AnalyzeResponse&);
   // Writes one already-framed line under the connection's write_mutex;
-  // a failed write (peer gone, or stalled past write_timeout_ms) drops
-  // the connection via ::shutdown so the reader tears it down.
+  // a failed write (peer gone, or stalled past the 10 s send timeout)
+  // drops the connection via ::shutdown so the reader tears it down.
   void write_line(Connection& connection, const std::string& data);
   void serve_metrics_http(Connection& connection);
   // Shed-burst trigger: dumps the flight recorder to
@@ -232,7 +213,7 @@ class Server {
   std::vector<std::unique_ptr<Connection>> connections_;
 
   // Content-hash registry: LRU list (front = most recently used) plus a
-  // hash → list-node index, bounded by config_.hash_registry_entries and
+  // hash → list-node index, bounded by 4096 entries and
   // config_.hash_registry_bytes (payload bytes; registry_bytes_ tracks
   // the current total).
   mutable std::mutex registry_mutex_;

@@ -70,9 +70,7 @@ std::string global_array_transform(std::string_view source, Rng& rng,
 
   const std::string array_name = hex_name(rng);
   const std::string accessor_name = hex_name(rng);
-  const long long offset =
-      options.rotate ? static_cast<long long>(rng.uniform_int(0x40, 0x1ff))
-                     : 0;
+  const long long offset = static_cast<long long>(rng.uniform_int(0x40, 0x1ff));
 
   // Replace literals with accessor calls: _0xacc(index + offset) — the
   // decoder subtracts the offset (hex literal, obfuscator.io style).
@@ -99,7 +97,7 @@ std::string global_array_transform(std::string_view source, Rng& rng,
   Node* array = ast.make(NodeKind::kArrayExpression);
   for (const std::string& value : table) {
     Node* entry = ast.make_string(value);
-    if (options.encode_contents) entry->flag_a = true;  // \xHH encoding
+    entry->flag_a = true;  // \xHH encoding
     array->kids.push_back(entry);
   }
   Node* declarator = ast.make(NodeKind::kVariableDeclarator);

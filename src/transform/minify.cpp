@@ -250,7 +250,6 @@ std::string minify(std::string_view source, const MinifyOptions& options) {
   CodegenOptions codegen_options;
   codegen_options.minify = true;
   codegen_options.minified_line_limit = options.line_limit;
-  codegen_options.single_quotes = false;
   return generate(ast.root(), codegen_options);
 }
 

@@ -10,6 +10,9 @@
 namespace jst::transform {
 namespace {
 
+// A split string becomes a chain of 2 to this many chunks.
+constexpr std::size_t kMaxSplitChunks = 4;
+
 // True when the literal may be rewritten into an arbitrary expression.
 // Property keys, object-pattern keys, and method keys must stay literals.
 bool rewritable_position(const Node& literal) {
@@ -99,7 +102,7 @@ std::string obfuscate_strings(std::string_view source, Rng& rng,
         continue;
       }
       const std::size_t chunk_count =
-          2 + rng.index(options.max_split_chunks - 1);
+          2 + rng.index(kMaxSplitChunks - 1);
       Node* replacement =
           make_concat_chain(ast, literal->str_value, chunk_count, rng);
       // Randomly hex-escape some chunks of the chain too.

@@ -53,15 +53,14 @@ struct StringObfuscationOptions {
   double split_probability = 0.5;     // split into concatenated chunks
   double hex_escape_probability = 0.4;  // force \xHH escapes
   double char_code_probability = 0.2;   // String.fromCharCode(...)
-  std::size_t max_split_chunks = 4;
 };
 std::string obfuscate_strings(std::string_view source, Rng& rng,
                               const StringObfuscationOptions& options = {});
 
+// Array entries are always hex-escaped and indices always shifted by a
+// random constant offset.
 struct GlobalArrayOptions {
   std::size_t min_strings = 2;   // below this, leave the file unchanged
-  bool encode_contents = true;   // hex-escape array entries (string obf)
-  bool rotate = true;            // shift indices by a constant offset
 };
 std::string global_array_transform(std::string_view source, Rng& rng,
                                    const GlobalArrayOptions& options = {});

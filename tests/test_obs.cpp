@@ -300,7 +300,6 @@ TEST(Trace, DisabledTracingWritesNothing) {
 }
 
 TEST(Trace, SpansEmitValidJsonlCompleteEvents) {
-  if (!JST_TRACING) GTEST_SKIP() << "trace spans compiled out";
   std::ostringstream out;
   obs::TraceSink sink(out);
   obs::set_trace_sink(&sink);
@@ -324,7 +323,6 @@ TEST(Trace, SpansEmitValidJsonlCompleteEvents) {
 }
 
 TEST(Trace, NestedSpansAreIntervalContained) {
-  if (!JST_TRACING) GTEST_SKIP() << "trace spans compiled out";
   std::ostringstream out;
   obs::TraceSink sink(out);
   obs::set_trace_sink(&sink);
@@ -415,14 +413,11 @@ TEST(ObsSmoke, BatchIsBitIdenticalWithAndWithoutSinks) {
     obs::set_trace_sink(nullptr);
 
     expect_outcomes_bit_identical(detached, attached);
-    if (JST_TRACING) {
-      EXPECT_GT(sink.event_count(), 0u) << "threads=" << threads;
-    }
+    EXPECT_GT(sink.event_count(), 0u) << "threads=" << threads;
   }
 }
 
 TEST(ObsSmoke, TraceJsonlAndPrometheusParseCleanly) {
-  if (!JST_TRACING) GTEST_SKIP() << "trace spans compiled out";
   const analysis::AnalyzerService service(smoke_analyzer());
   const std::vector<std::string> sources = smoke_sources();
 
@@ -485,7 +480,6 @@ TEST(ObsSmoke, TraceJsonlAndPrometheusParseCleanly) {
 // top-level "batch" span is openest-to-close of the whole run, so its
 // duration must be ≥ 95% of the measured wall_ms.
 TEST(ObsSmoke, BatchSpanCoversWallTime) {
-  if (!JST_TRACING) GTEST_SKIP() << "trace spans compiled out";
   const analysis::AnalyzerService service(smoke_analyzer());
   const std::vector<std::string> sources = smoke_sources();
 
@@ -593,7 +587,6 @@ TEST(RequestContext, ThreadPoolSubmitPropagatesWithoutCrossContamination) {
 }
 
 TEST(Trace, SpanCarriesRequestIdWhenScoped) {
-  if (!JST_TRACING) GTEST_SKIP() << "trace spans compiled out";
   std::ostringstream out;
   obs::TraceSink sink(out);
   obs::set_trace_sink(&sink);

@@ -593,13 +593,55 @@ TEST_F(ServerFixture, PingMetricsAndHttpScrape) {
 TEST_F(ServerFixture, MalformedLineAnswersInvalidRequest) {
   StartServer("bad", server::ServerConfig{});
   server::Client client(daemon_->socket_path());
-  std::string error;
-  const auto parsed = analysis::wire::parse_analyze_response(
-      client.call_raw("this is not json"), &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_EQ(parsed->status, analysis::ResponseStatus::kInvalidRequest);
-  // The connection survives the bad line.
-  EXPECT_TRUE(client.ping());
+  const std::vector<std::string> lines = {"this is not json",
+                                          R"({"op":"bogus"})"};
+  for (const std::string& line : lines) {
+    std::string error;
+    const auto parsed = analysis::wire::parse_analyze_response(
+        client.call_raw(line), &error);
+    ASSERT_TRUE(parsed.has_value()) << line << ": " << error;
+    EXPECT_EQ(parsed->status, analysis::ResponseStatus::kInvalidRequest)
+        << line;
+    // The connection survives the bad line.
+    EXPECT_TRUE(client.ping()) << line;
+  }
+  // Every kInvalidRequest answer is counted, unknown ops included.
+  EXPECT_EQ(daemon_->stats().requests_invalid, lines.size());
+}
+
+// Virtual address space of this process in KiB, from /proc/self/status.
+std::size_t vm_size_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return static_cast<std::size_t>(std::stoull(line.substr(7)));
+    }
+  }
+  return 0;
+}
+
+// A finished connection's reader thread is joined when the next one is
+// accepted, so its stack is unmapped: address space stays flat across
+// many short-lived connections instead of growing a stack per client.
+TEST_F(ServerFixture, FinishedConnectionsAreReaped) {
+  StartServer("reap", server::ServerConfig{});
+  const auto ping_and_close = [&] {
+    server::Client client(daemon_->socket_path());
+    EXPECT_TRUE(client.ping());
+  };
+  for (int i = 0; i < 8; ++i) ping_and_close();
+  const std::size_t before_kib = vm_size_kib();
+  ASSERT_GT(before_kib, 0u);
+  constexpr int kConnections = 200;
+  for (int i = 0; i < kConnections; ++i) ping_and_close();
+  const std::size_t after_kib = vm_size_kib();
+  const std::size_t growth_kib =
+      after_kib > before_kib ? after_kib - before_kib : 0;
+  EXPECT_LT(growth_kib, 256u * 1024u)
+      << "VmSize grew " << growth_kib / 1024 << " MiB over " << kConnections
+      << " connections";
+  EXPECT_EQ(daemon_->stats().connections_accepted, 8u + kConnections);
 }
 
 // Opens a connection, writes `pieces` with one send() each (1 ms apart,
@@ -888,7 +930,7 @@ TEST_F(ServerFixture, LifecycleReconstructsFromTraceAndFlightJoin) {
 
   std::ostringstream trace_out;
   obs::TraceSink sink(trace_out);
-  if (JST_TRACING) obs::set_trace_sink(&sink);
+  obs::set_trace_sink(&sink);
 
   const std::string rid = "abcdef0123456789";
   server::Client client(daemon_->socket_path());
@@ -924,20 +966,18 @@ TEST_F(ServerFixture, LifecycleReconstructsFromTraceAndFlightJoin) {
   EXPECT_GE(stage_events, 3u);  // static_analysis, features, inference
 
   // Trace side of the join: the pipeline spans carry the same rid.
-  if (JST_TRACING) {
-    std::size_t rid_spans = 0;
-    bool saw_script = false, saw_inference = false;
-    for (const std::string& line : split_lines(trace_out.str())) {
-      if (json_string_field(line, "rid") != rid) continue;
-      ++rid_spans;
-      const std::string name = json_string_field(line, "name");
-      if (name == "script") saw_script = true;
-      if (name == "inference") saw_inference = true;
-    }
-    EXPECT_GE(rid_spans, 4u);
-    EXPECT_TRUE(saw_script);
-    EXPECT_TRUE(saw_inference);
+  std::size_t rid_spans = 0;
+  bool saw_script = false, saw_inference = false;
+  for (const std::string& line : split_lines(trace_out.str())) {
+    if (json_string_field(line, "rid") != rid) continue;
+    ++rid_spans;
+    const std::string name = json_string_field(line, "name");
+    if (name == "script") saw_script = true;
+    if (name == "inference") saw_inference = true;
   }
+  EXPECT_GE(rid_spans, 4u);
+  EXPECT_TRUE(saw_script);
+  EXPECT_TRUE(saw_inference);
 }
 
 TEST_F(ServerFixture, DrainAnswersAdmittedRequests) {
@@ -947,15 +987,22 @@ TEST_F(ServerFixture, DrainAnswersAdmittedRequests) {
   StartServer("drain", config);
 
   server::Client client(daemon_->socket_path());
+  const analysis::AnalyzeRequest request =
+      analysis::AnalyzeRequest::for_source(seed_corpus()[0]);
   std::atomic<bool> answered{false};
   std::thread caller([&] {
-    const auto response =
-        client.call(analysis::AnalyzeRequest::for_source(seed_corpus()[0]));
+    const auto response = client.call(request);
     EXPECT_TRUE(response.ok());
     answered = true;
   });
-  // Give the request time to be admitted, then drain mid-service.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // Drain mid-service: wait for the admission (the 150 ms service floor
+  // keeps the request in flight), not a fixed sleep a slow build outruns.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (daemon_->stats().requests_admitted == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   daemon_->shutdown();
   caller.join();
   EXPECT_TRUE(answered.load());
