@@ -15,9 +15,11 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "analysis/dataset.h"
 #include "analysis/detector.h"
+#include "lexer/token.h"
 #include "support/arena.h"
 #include "support/atom.h"
 #include "support/budget.h"
@@ -128,8 +130,8 @@ struct ScriptOutcome {
 struct ScriptScratch {
   features::ExtractScratch extract;
   ml::PredictScratch predict;
-  // Pooled front-end arena: the lexer, token stream, and AST of every
-  // script this worker analyzes live here. parse_program resets it (not
+  // Pooled front-end arena: the source copy, cooked payloads and AST of
+  // every script this worker analyzes live here. parse_program resets it (not
   // frees it) per script, so steady-state lex+parse reuses the same
   // chunks and allocates nothing. Reuse and footprint are reported via
   // jst_arena_reuse_total and jst_arena_peak_bytes.
@@ -138,10 +140,15 @@ struct ScriptScratch {
   // arena reset (parse_program). Dense atom ids index the data-flow
   // builder's per-atom binding stacks (DESIGN.md §17).
   support::AtomTable atoms;
+  // Pooled token buffer: parse_program refills it per script and keeps
+  // its capacity, so it stays at the largest script's token count. The
+  // script's ParseResult::tokens span points into it.
+  std::vector<Token> tokens;
 
   std::size_t capacity_bytes() const {
     return extract.capacity_bytes() + predict.capacity_bytes() +
-           arena.capacity_bytes() + atoms.capacity_bytes();
+           arena.capacity_bytes() + atoms.capacity_bytes() +
+           tokens.capacity() * sizeof(Token);
   }
 };
 

@@ -1,5 +1,6 @@
 #include "ast/ast.h"
 
+#include <algorithm>
 #include <array>
 #include <new>
 #include <type_traits>
@@ -152,13 +153,11 @@ bool Node::is_loop() const {
 // whole Node (including its NodeList and payload views) must be trivial
 // to destroy.
 static_assert(std::is_trivially_destructible_v<Node>);
-// The reach byte lives in padding after the flags.
-static_assert(sizeof(Node) == 104);
 
-void NodeList::grow(std::size_t at_least) {
-  std::size_t next = capacity_ == 0 ? 4 : static_cast<std::size_t>(capacity_) * 2;
-  while (next < at_least) next *= 2;
-  Node** grown = arena_->alloc_array<Node*>(next);
+void NodeList::grow(support::Arena& arena, std::size_t at_least) {
+  std::size_t next = static_cast<std::size_t>(capacity_) * 2;
+  if (next < at_least) next = at_least;
+  Node** grown = arena.alloc_array<Node*>(next);
   for (std::size_t i = 0; i < size_; ++i) grown[i] = data_[i];
   data_ = grown;
   capacity_ = static_cast<std::uint32_t>(next);
@@ -168,7 +167,6 @@ Node* Ast::make(NodeKind kind) {
   if (budget_ != nullptr) budget_->charge_ast_nodes();
   Node* node = new (arena_->allocate(sizeof(Node), alignof(Node))) Node();
   node->kind = kind;
-  node->kids.set_arena(arena_);
   ++allocated_;
   return node;
 }
@@ -210,8 +208,12 @@ Node* Ast::make_null() {
 Node* Ast::make_regex(std::string_view pattern, std::string_view flags) {
   Node* node = make(NodeKind::kLiteral);
   node->lit_kind = LiteralKind::kRegExp;
-  node->str_value = intern(pattern);
-  node->raw = intern(flags);
+  const std::size_t size = pattern.size() + 1 + flags.size();
+  char* text = arena_->alloc_chars(size);
+  char* flags_at = std::copy(pattern.begin(), pattern.end(), text);
+  *flags_at++ = '/';
+  std::copy(flags.begin(), flags.end(), flags_at);
+  node->str_value = std::string_view(text, size);
   return node;
 }
 
@@ -223,7 +225,6 @@ Node* Ast::clone(const Node* node) {
   // Identifier atoms likewise: the source node's atom indexes the source
   // tree's table, so the spelling is re-interned into this tree's.
   copy->str_value = intern(node->str_value);
-  copy->raw = intern(node->raw);
   if (node->kind == NodeKind::kIdentifier) {
     copy->atom = atoms_->intern(copy->str_value);
   }
@@ -233,8 +234,8 @@ Node* Ast::clone(const Node* node) {
   copy->flag_b = node->flag_b;
   copy->flag_c = node->flag_c;
   copy->line = node->line;
-  copy->kids.reserve(node->kids.size());
-  for (const Node* kid : node->kids) copy->kids.push_back(clone(kid));
+  copy->kids.reserve(*arena_, node->kids.size());
+  for (const Node* kid : node->kids) push_kid(copy, clone(kid));
   return copy;
 }
 

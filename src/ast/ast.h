@@ -54,7 +54,7 @@ enum class NodeKind : std::uint8_t {
 
   // --- Expressions ---
   kIdentifier,            // str_value = name
-  kLiteral,               // payload via lit_kind/str_value/num_value/raw
+  kLiteral,               // payload via lit_kind/str_value/num_value
   kTemplateLiteral,       // [quasis..., expressions...] interleaved:
                           //   quasi0, expr0, quasi1, expr1, ..., quasiN
   kTemplateElement,       // str_value = cooked text
@@ -120,11 +120,13 @@ std::uint8_t kind_reach(NodeKind kind);
 struct Node;
 
 // Child list living entirely in the owning Ast's arena: a vector-shaped
-// span of Node* grown by doubling (the abandoned block is reclaimed at
-// the arena's next reset). Trivially destructible, so Node storage can be
-// dropped wholesale without running destructors. The API mirrors the
-// std::vector<Node*> it replaced — only the operations the parser and
-// transformers actually use.
+// span of Node* (16 bytes: no arena pointer of its own). Reads go through
+// the list; growth goes through the Ast's kid mutators (set_kids,
+// push_kid, insert_kids, assign_kids), which pass the arena in. A list
+// first allocates exactly the slots it is asked for and then doubles;
+// the abandoned block is reclaimed at the arena's next reset. Trivially
+// destructible and trivially copyable (a copy shares the kid array), so
+// Node storage can be dropped wholesale without running destructors.
 class NodeList {
  public:
   using value_type = Node*;
@@ -135,14 +137,10 @@ class NodeList {
 
   NodeList() = default;
 
-  // Wired by Ast::make(); every growth allocation comes from here.
-  void set_arena(support::Arena* arena) { arena_ = arena; }
-
   Node** begin() { return data_; }
   Node** end() { return data_ + size_; }
   Node* const* begin() const { return data_; }
   Node* const* end() const { return data_ + size_; }
-  const_iterator cend() const { return data_ + size_; }
   reverse_iterator rbegin() { return reverse_iterator(end()); }
   reverse_iterator rend() { return reverse_iterator(begin()); }
   const_reverse_iterator rbegin() const {
@@ -159,90 +157,62 @@ class NodeList {
 
   void clear() { size_ = 0; }
 
-  void reserve(std::size_t wanted) {
-    if (wanted > capacity_) grow(wanted);
+ private:
+  friend class Ast;
+
+  void reserve(support::Arena& arena, std::size_t wanted) {
+    if (wanted > capacity_) grow(arena, wanted);
   }
 
-  void push_back(Node* node) {
-    if (size_ == capacity_) grow(size_ + 1);
+  void push_back(support::Arena& arena, Node* node) {
+    if (size_ == capacity_) grow(arena, size_ + 1);
     data_[size_++] = node;
   }
 
-  // Single-element insert; returns an iterator to the inserted element.
-  iterator insert(const_iterator pos, Node* node) {
-    const std::size_t at = static_cast<std::size_t>(pos - data_);
-    if (size_ == capacity_) grow(size_ + 1);
-    for (std::size_t i = size_; i > at; --i) data_[i] = data_[i - 1];
-    data_[at] = node;
-    ++size_;
-    return data_ + at;
-  }
-
-  // Range insert (used by transformers splicing statement lists).
+  // Inserts [first, last) before index `at`.
   template <typename It>
-  iterator insert(const_iterator pos, It first, It last) {
-    const std::size_t at = static_cast<std::size_t>(pos - data_);
+  void insert(support::Arena& arena, std::size_t at, It first, It last) {
     const std::size_t count =
         static_cast<std::size_t>(std::distance(first, last));
-    if (count == 0) return data_ + at;
-    if (size_ + count > capacity_) grow(size_ + count);
+    if (count == 0) return;
+    if (size_ + count > capacity_) grow(arena, size_ + count);
     for (std::size_t i = size_; i > at; --i) {
       data_[i + count - 1] = data_[i - 1];
     }
     std::size_t i = at;
     for (It it = first; it != last; ++it) data_[i++] = *it;
-    size_ += count;
-    return data_ + at;
+    size_ += static_cast<std::uint32_t>(count);
   }
 
-  NodeList& operator=(std::initializer_list<Node*> nodes) {
-    clear();
-    reserve(nodes.size());
-    for (Node* node : nodes) data_[size_++] = node;
-    return *this;
-  }
+  void grow(support::Arena& arena, std::size_t at_least);
 
-  void assign(std::initializer_list<Node*> nodes) { *this = nodes; }
-
-  // Replace the contents with a copied range (transformers rebuilding a
-  // statement list in a transient std::vector).
-  template <typename It>
-  void assign(It first, It last) {
-    clear();
-    insert(cend(), first, last);
-  }
-
- private:
-  void grow(std::size_t at_least);
-
-  support::Arena* arena_ = nullptr;
   Node** data_ = nullptr;
   std::uint32_t size_ = 0;
   std::uint32_t capacity_ = 0;
 };
 
+// 64 bytes (DESIGN.md §12): JSFuck-style input builds about one node per
+// two source bytes, so the node's size sets the front end's footprint.
 struct Node {
-  NodeKind kind = NodeKind::kProgram;
   NodeList kids;
 
   // Payload (meaning depends on kind; see enum comments). Views into the
   // owning Ast's arena (or static/token storage); use Ast::intern() when
   // assigning text that does not already have arena lifetime.
+  //
+  // Literals keep their source text here too, so no node carries a
+  // second view:
+  //   kString  — the cooked value.
+  //   kNumber  — the source spelling ("0x2A"); empty for a number made by
+  //              make_number(), which codegen prints from num_value.
+  //   kRegExp  — "pattern/flags", the source slice after the opening
+  //              slash (flags never contain '/').
   std::string_view str_value;
-  std::string_view raw;     // literal raw text / regex flags
-  double num_value = 0.0;
-  LiteralKind lit_kind = LiteralKind::kNull;
-  bool flag_a = false;      // computed / prefix / delegate / expression-body
-  bool flag_b = false;      // shorthand / generator / static
-  bool flag_c = false;      // async
-  // kReach* bits of every node in this subtree, the node itself included;
-  // assigned by Ast::finalize(). Lets the graph passes skip subtrees that
-  // hold nothing they act on.
-  std::uint8_t reach = 0;
+  double num_value = 0.0;  // kNumber value; 1.0/0.0 for kBoolean
+  Node* parent = nullptr;
 
-  // Source position (propagated from the first token of the production).
-  std::size_t line = 0;
-
+  // Source line (propagated from the first token of the production).
+  std::uint32_t line = 0;
   // Stable id within the owning Ast; assigned by Ast::finalize().
   std::uint32_t id = 0;
   // Dense interned-identifier id (support::AtomTable::kNoAtom for
@@ -251,7 +221,16 @@ struct Node {
   // spelling. Code that mutates an identifier's str_value in place must
   // re-intern (see transform/rename.cpp).
   std::uint32_t atom = 0xffffffffu;
-  Node* parent = nullptr;
+
+  NodeKind kind = NodeKind::kProgram;
+  LiteralKind lit_kind = LiteralKind::kNull;
+  bool flag_a : 1 = false;  // computed / prefix / delegate / expression-body
+  bool flag_b : 1 = false;  // shorthand / generator / static
+  bool flag_c : 1 = false;  // async
+  // kReach* bits of every node in this subtree, the node itself included;
+  // assigned by Ast::finalize(). Lets the graph passes skip subtrees that
+  // hold nothing they act on.
+  std::uint8_t reach = 0;
 
   bool is_statement() const;
   bool is_function() const;   // declaration, expression, or arrow
@@ -260,6 +239,9 @@ struct Node {
   // Convenience accessors (bounds-checked; nullptr for missing optionals).
   Node* kid(std::size_t i) const { return i < kids.size() ? kids[i] : nullptr; }
 };
+
+static_assert(sizeof(Node) <= 64, "one node per two source bytes on JSFuck "
+                                  "input; keep nodes compact");
 
 // Arena-backed AST. Nodes are placement-constructed in the arena, so
 // addresses are stable for the arena's epoch (chunks never move) and the
@@ -300,6 +282,25 @@ class Ast {
   Node* make_bool(bool value);
   Node* make_null();
   Node* make_regex(std::string_view pattern, std::string_view flags);
+
+  // Kid-list growth, in this Ast's arena. A list is first allocated at
+  // exactly the size it needs, then grows by doubling.
+  // Replaces the kids with a copied range (transformers rebuilding a
+  // statement list in a transient std::vector).
+  template <typename It>
+  void assign_kids(Node* node, It first, It last) {
+    node->kids.clear();
+    node->kids.insert(*arena_, 0, first, last);
+  }
+  void set_kids(Node* node, std::initializer_list<Node*> kids) {
+    assign_kids(node, kids.begin(), kids.end());
+  }
+  void push_kid(Node* node, Node* kid) { node->kids.push_back(*arena_, kid); }
+  // Inserts [first, last) before kid index `at`.
+  template <typename It>
+  void insert_kids(Node* node, std::size_t at, It first, It last) {
+    node->kids.insert(*arena_, at, first, last);
+  }
 
   // Copies `text` into the arena and returns the stable view. Required
   // whenever a Node payload is assigned text whose storage does not

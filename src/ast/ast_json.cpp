@@ -107,13 +107,12 @@ void emit_fields(const Node* node, JsonWriter& json) {
         case LiteralKind::kBoolean: json.value(node->num_value != 0.0); break;
         case LiteralKind::kNull: json.null(); break;
         case LiteralKind::kRegExp:
-          json.value("/" + std::string(node->str_value) + "/" +
-                     std::string(node->raw));
+          json.value("/" + std::string(node->str_value));
           break;
       }
-      if (!node->raw.empty() && node->lit_kind == LiteralKind::kNumber) {
+      if (!node->str_value.empty() && node->lit_kind == LiteralKind::kNumber) {
         json.key("raw");
-        json.value(node->raw);
+        json.value(node->str_value);
       }
       break;
     case NodeKind::kTemplateElement:

@@ -1023,8 +1023,8 @@ class Printer {
         break;
       }
       case LiteralKind::kNumber: {
-        if (!node.raw.empty()) {
-          token(node.raw);
+        if (!node.str_value.empty()) {
+          token(node.str_value);
         } else if (node.num_value == std::floor(node.num_value) &&
                    std::abs(node.num_value) < 1e15) {
           char buf[32];
@@ -1044,7 +1044,7 @@ class Printer {
         token("null");
         break;
       case LiteralKind::kRegExp:
-        token("/" + std::string(node.str_value) + "/" + std::string(node.raw));
+        token("/" + std::string(node.str_value));
         break;
     }
   }

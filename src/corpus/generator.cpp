@@ -73,7 +73,8 @@ Node* ProgramGenerator::gen_literal() {
       return ast_->make_number(static_cast<double>(rng_.uniform_int(0, 10000)));
     case 5: {
       Node* literal = ast_->make_number(rng_.uniform(0.0, 10.0));
-      literal->raw = ast_->intern(strings::format_double(literal->num_value, 3));
+      literal->str_value =
+          ast_->intern(strings::format_double(literal->num_value, 3));
       return literal;
     }
     case 6:
@@ -102,10 +103,10 @@ Node* ProgramGenerator::gen_member(int depth) {
                             std::string(rng_.choice(property_names()))))
                       : ast_->make_number(
                             static_cast<double>(rng_.uniform_int(0, 4)));
-      member->kids = {base, key};
+      ast_->set_kids(member, {base, key});
     } else {
-      member->kids = {base, ast_->make_identifier(std::string(
-                                rng_.choice(property_names())))};
+      ast_->set_kids(member, {base, ast_->make_identifier(std::string(
+                                        rng_.choice(property_names())))});
     }
     base = member;
   }
@@ -118,16 +119,17 @@ Node* ProgramGenerator::gen_call(int depth) {
   if (rng_.bernoulli(0.7)) {
     // method call obj.method(...)
     Node* member = ast_->make(NodeKind::kMemberExpression);
-    member->kids = {gen_reference(), ast_->make_identifier(std::string(
-                                         rng_.choice(method_names())))};
+    ast_->set_kids(member,
+                   {gen_reference(), ast_->make_identifier(std::string(
+                                         rng_.choice(method_names())))});
     callee = member;
   } else {
     callee = gen_reference();
   }
-  call->kids = {callee};
+  ast_->set_kids(call, {callee});
   const std::size_t argument_count = rng_.index(3);
   for (std::size_t i = 0; i < argument_count; ++i) {
-    call->kids.push_back(depth > 0 ? gen_expression(depth - 1)
+    ast_->push_kid(call, depth > 0 ? gen_expression(depth - 1)
                                    : gen_literal());
   }
   return call;
@@ -144,7 +146,7 @@ Node* ProgramGenerator::gen_binary(int depth) {
   node->str_value = ast_->intern(op);
   Node* left = depth > 0 ? gen_expression(depth - 1) : gen_reference();
   Node* right = depth > 0 ? gen_expression(depth - 1) : gen_literal();
-  node->kids = {left, right};
+  ast_->set_kids(node, {left, right});
   return node;
 }
 
@@ -157,8 +159,8 @@ Node* ProgramGenerator::gen_object_literal(int depth) {
     Node* key = ast_->make_identifier(
         std::string(rng_.choice(property_names())));
     Node* value = depth > 0 ? gen_expression(depth - 1) : gen_literal();
-    property->kids = {key, value};
-    object->kids.push_back(property);
+    ast_->set_kids(property, {key, value});
+    ast_->push_kid(object, property);
   }
   return object;
 }
@@ -167,7 +169,7 @@ Node* ProgramGenerator::gen_array_literal(int depth) {
   Node* array = ast_->make(NodeKind::kArrayExpression);
   const std::size_t element_count = rng_.index(6);
   for (std::size_t i = 0; i < element_count; ++i) {
-    array->kids.push_back(depth > 0 && rng_.bernoulli(0.3)
+    ast_->push_kid(array, depth > 0 && rng_.bernoulli(0.3)
                               ? gen_expression(depth - 1)
                               : gen_literal());
   }
@@ -186,15 +188,17 @@ Node* ProgramGenerator::gen_function_expression(int depth, bool arrow) {
     node = ast_->make(NodeKind::kArrowFunctionExpression);
     if (rng_.bernoulli(0.45)) {
       node->flag_a = true;  // expression body
-      node->kids = {depth > 0 ? gen_expression(depth - 1) : gen_literal()};
+      ast_->set_kids(node,
+                     {depth > 0 ? gen_expression(depth - 1) : gen_literal()});
     } else {
-      node->kids = {gen_block(depth, /*inside_function=*/true, 1, 3)};
+      ast_->set_kids(node, {gen_block(depth, /*inside_function=*/true, 1, 3)});
     }
-    for (Node* param : params) node->kids.push_back(param);
+    for (Node* param : params) ast_->push_kid(node, param);
   } else {
     node = ast_->make(NodeKind::kFunctionExpression);
-    node->kids = {nullptr, gen_block(depth, /*inside_function=*/true, 1, 4)};
-    for (Node* param : params) node->kids.push_back(param);
+    ast_->set_kids(node, {nullptr, gen_block(depth, /*inside_function=*/true,
+                                             1, 4)});
+    for (Node* param : params) ast_->push_kid(node, param);
   }
   pop_scope();
   return node;
@@ -210,8 +214,10 @@ Node* ProgramGenerator::gen_template_literal(int depth) {
                         ? ast_->intern(std::string(" ") +
                                        std::string(rng_.choice(string_pool())))
                         : std::string_view();
-  node->kids = {head, depth > 0 ? gen_expression(depth - 1) : gen_reference(),
-                tail};
+  ast_->set_kids(node, {head,
+                        depth > 0 ? gen_expression(depth - 1)
+                                  : gen_reference(),
+                        tail});
   return node;
 }
 
@@ -233,8 +239,8 @@ Node* ProgramGenerator::gen_expression(int depth) {
     case 10:
       if (rng_.bernoulli(0.35) && depth > 0) {
         Node* ternary = ast_->make(NodeKind::kConditionalExpression);
-        ternary->kids = {gen_binary(depth - 1), gen_expression(depth - 1),
-                         gen_literal()};
+        ast_->set_kids(ternary, {gen_binary(depth - 1),
+                                 gen_expression(depth - 1), gen_literal()});
         return ternary;
       }
       return gen_function_expression(std::max(depth - 1, 0),
@@ -266,8 +272,8 @@ Node* ProgramGenerator::gen_declaration(int depth) {
     Node* init = (is_const || rng_.bernoulli(0.9)) ? gen_expression(depth)
                                                    : nullptr;
     Node* id = ast_->make_identifier(declare());
-    declarator->kids = {id, init};
-    declaration->kids.push_back(declarator);
+    ast_->set_kids(declarator, {id, init});
+    ast_->push_kid(declaration, declarator);
   }
   return declaration;
 }
@@ -280,14 +286,14 @@ Node* ProgramGenerator::gen_block(int depth, bool inside_function,
   const std::size_t count =
       min_statements + rng_.index(max_statements - min_statements + 1);
   for (std::size_t i = 0; i < count; ++i) {
-    block->kids.push_back(gen_statement(depth - 1, inside_function));
+    ast_->push_kid(block, gen_statement(depth - 1, inside_function));
   }
   if (inside_function && rng_.bernoulli(0.4)) {
     Node* return_statement = ast_->make(NodeKind::kReturnStatement);
-    return_statement->kids = {rng_.bernoulli(0.8)
-                                  ? gen_expression(std::max(depth - 1, 0))
-                                  : nullptr};
-    block->kids.push_back(return_statement);
+    ast_->set_kids(return_statement,
+                   {rng_.bernoulli(0.8) ? gen_expression(std::max(depth - 1, 0))
+                                        : nullptr});
+    ast_->push_kid(block, return_statement);
   }
   pop_scope();
   return block;
@@ -303,7 +309,7 @@ Node* ProgramGenerator::gen_if(int depth, bool inside_function) {
                     ? gen_if(std::max(depth - 1, 0), inside_function)
                     : gen_block(depth, inside_function, 1, 2);
   }
-  node->kids = {test, consequent, alternate};
+  ast_->set_kids(node, {test, consequent, alternate});
   return node;
 }
 
@@ -313,25 +319,26 @@ Node* ProgramGenerator::gen_for(int depth, bool inside_function) {
   const std::string counter = rng_.bernoulli(0.7) ? "i" : declare(1);
   scopes_.back().push_back(counter);
   Node* init_declarator = ast_->make(NodeKind::kVariableDeclarator);
-  init_declarator->kids = {ast_->make_identifier(counter),
-                           ast_->make_number(0.0)};
+  ast_->set_kids(init_declarator, {ast_->make_identifier(counter),
+                                   ast_->make_number(0.0)});
   Node* init = ast_->make(NodeKind::kVariableDeclaration);
   init->str_value = rng_.bernoulli(0.6) ? "var" : "let";
-  init->kids = {init_declarator};
+  ast_->set_kids(init, {init_declarator});
 
   Node* limit = ast_->make(NodeKind::kMemberExpression);
-  limit->kids = {gen_reference(), ast_->make_identifier("length")};
+  ast_->set_kids(limit, {gen_reference(), ast_->make_identifier("length")});
   Node* test = ast_->make(NodeKind::kBinaryExpression);
   test->str_value = "<";
-  test->kids = {ast_->make_identifier(counter), limit};
+  ast_->set_kids(test, {ast_->make_identifier(counter), limit});
 
   Node* update = ast_->make(NodeKind::kUpdateExpression);
   update->str_value = "++";
   update->flag_a = false;
-  update->kids = {ast_->make_identifier(counter)};
+  ast_->set_kids(update, {ast_->make_identifier(counter)});
 
   Node* node = ast_->make(NodeKind::kForStatement);
-  node->kids = {init, test, update, gen_block(depth, inside_function, 1, 3)};
+  ast_->set_kids(node,
+                 {init, test, update, gen_block(depth, inside_function, 1, 3)});
   pop_scope();
   return node;
 }
@@ -339,40 +346,41 @@ Node* ProgramGenerator::gen_for(int depth, bool inside_function) {
 Node* ProgramGenerator::gen_for_of(int depth, bool inside_function) {
   push_scope();
   Node* left_declarator = ast_->make(NodeKind::kVariableDeclarator);
-  left_declarator->kids = {ast_->make_identifier(declare(1)), nullptr};
+  ast_->set_kids(left_declarator, {ast_->make_identifier(declare(1)), nullptr});
   Node* left = ast_->make(NodeKind::kVariableDeclaration);
   left->str_value = rng_.bernoulli(0.5) ? "const" : "let";
-  left->kids = {left_declarator};
+  ast_->set_kids(left, {left_declarator});
   Node* node = ast_->make(NodeKind::kForOfStatement);
-  node->kids = {left, gen_reference(), gen_block(depth, inside_function, 1, 3)};
+  ast_->set_kids(node, {left, gen_reference(),
+                        gen_block(depth, inside_function, 1, 3)});
   pop_scope();
   return node;
 }
 
 Node* ProgramGenerator::gen_while(int depth, bool inside_function) {
   Node* node = ast_->make(NodeKind::kWhileStatement);
-  node->kids = {gen_binary(std::max(depth - 1, 0)),
-                gen_block(depth, inside_function, 1, 2)};
+  ast_->set_kids(node, {gen_binary(std::max(depth - 1, 0)),
+                        gen_block(depth, inside_function, 1, 2)});
   return node;
 }
 
 Node* ProgramGenerator::gen_switch(int depth, bool inside_function) {
   Node* node = ast_->make(NodeKind::kSwitchStatement);
-  node->kids = {gen_reference()};
+  ast_->set_kids(node, {gen_reference()});
   const std::size_t case_count = 2 + rng_.index(3);
   for (std::size_t i = 0; i < case_count; ++i) {
     Node* switch_case = ast_->make(NodeKind::kSwitchCase);
-    switch_case->kids = {gen_string_literal()};
-    switch_case->kids.push_back(gen_statement(depth - 1, inside_function));
+    ast_->set_kids(switch_case, {gen_string_literal()});
+    ast_->push_kid(switch_case, gen_statement(depth - 1, inside_function));
     Node* break_statement = ast_->make(NodeKind::kBreakStatement);
-    break_statement->kids = {nullptr};
-    switch_case->kids.push_back(break_statement);
-    node->kids.push_back(switch_case);
+    ast_->set_kids(break_statement, {nullptr});
+    ast_->push_kid(switch_case, break_statement);
+    ast_->push_kid(node, switch_case);
   }
   Node* default_case = ast_->make(NodeKind::kSwitchCase);
-  default_case->kids = {nullptr};
-  default_case->kids.push_back(gen_statement(depth - 1, inside_function));
-  node->kids.push_back(default_case);
+  ast_->set_kids(default_case, {nullptr});
+  ast_->push_kid(default_case, gen_statement(depth - 1, inside_function));
+  ast_->push_kid(node, default_case);
   return node;
 }
 
@@ -382,10 +390,10 @@ Node* ProgramGenerator::gen_try(int depth, bool inside_function) {
   Node* handler = ast_->make(NodeKind::kCatchClause);
   push_scope();
   scopes_.back().push_back("err");
-  handler->kids = {ast_->make_identifier("err"),
-                   gen_block(depth, inside_function, 1, 2)};
+  ast_->set_kids(handler, {ast_->make_identifier("err"),
+                           gen_block(depth, inside_function, 1, 2)});
   pop_scope();
-  node->kids = {block, handler, nullptr};
+  ast_->set_kids(node, {block, handler, nullptr});
   return node;
 }
 
@@ -401,8 +409,8 @@ Node* ProgramGenerator::gen_function_declaration(int depth) {
   }
   Node* body = gen_block(depth, /*inside_function=*/true, 2, 6);
   pop_scope();
-  node->kids = {ast_->make_identifier(name), body};
-  for (Node* param : params) node->kids.push_back(param);
+  ast_->set_kids(node, {ast_->make_identifier(name), body});
+  for (Node* param : params) ast_->push_kid(node, param);
   return node;
 }
 
@@ -422,33 +430,34 @@ Node* ProgramGenerator::gen_class_declaration(int depth) {
     // this.<prop> = param;
     Node* block = ast_->make(NodeKind::kBlockStatement);
     Node* member = ast_->make(NodeKind::kMemberExpression);
-    member->kids = {ast_->make(NodeKind::kThisExpression),
-                    ast_->make_identifier(std::string(
-                        rng_.choice(property_names())))};
+    ast_->set_kids(member, {ast_->make(NodeKind::kThisExpression),
+                            ast_->make_identifier(std::string(
+                                rng_.choice(property_names())))});
     Node* assignment = ast_->make(NodeKind::kAssignmentExpression);
     assignment->str_value = "=";
-    assignment->kids = {member, ast_->make_identifier(param->str_value)};
+    ast_->set_kids(assignment,
+                   {member, ast_->make_identifier(param->str_value)});
     Node* statement = ast_->make(NodeKind::kExpressionStatement);
-    statement->kids = {assignment};
-    block->kids = {statement};
+    ast_->set_kids(statement, {assignment});
+    ast_->set_kids(block, {statement});
     pop_scope();
-    function->kids = {nullptr, block, param};
-    method->kids = {ast_->make_identifier("constructor"), function};
-    body->kids.push_back(method);
+    ast_->set_kids(function, {nullptr, block, param});
+    ast_->set_kids(method, {ast_->make_identifier("constructor"), function});
+    ast_->push_kid(body, method);
   }
   for (std::size_t i = 0; i < method_count; ++i) {
     Node* method = ast_->make(NodeKind::kMethodDefinition);
     method->str_value = "method";
     push_scope();
     Node* function = ast_->make(NodeKind::kFunctionExpression);
-    function->kids = {nullptr,
-                      gen_block(depth, /*inside_function=*/true, 1, 4)};
+    ast_->set_kids(function,
+                   {nullptr, gen_block(depth, /*inside_function=*/true, 1, 4)});
     pop_scope();
-    method->kids = {ast_->make_identifier(camel_identifier(rng_, 2)),
-                    function};
-    body->kids.push_back(method);
+    ast_->set_kids(method, {ast_->make_identifier(camel_identifier(rng_, 2)),
+                            function});
+    ast_->push_kid(body, method);
   }
-  node->kids = {ast_->make_identifier(name), nullptr, body};
+  ast_->set_kids(node, {ast_->make_identifier(name), nullptr, body});
   return node;
 }
 
@@ -456,7 +465,8 @@ Node* ProgramGenerator::gen_statement(int depth, bool inside_function) {
   if (depth <= 0) {
     // Leaf statements only.
     Node* statement = ast_->make(NodeKind::kExpressionStatement);
-    statement->kids = {rng_.bernoulli(0.6) ? gen_call(0) : gen_binary(0)};
+    ast_->set_kids(statement,
+                   {rng_.bernoulli(0.6) ? gen_call(0) : gen_binary(0)});
     return statement;
   }
   switch (rng_.index(14)) {
@@ -464,7 +474,7 @@ Node* ProgramGenerator::gen_statement(int depth, bool inside_function) {
       return gen_declaration(depth - 1);
     case 3: case 4: {
       Node* statement = ast_->make(NodeKind::kExpressionStatement);
-      statement->kids = {gen_call(depth - 1)};
+      ast_->set_kids(statement, {gen_call(depth - 1)});
       return statement;
     }
     case 5: {
@@ -474,9 +484,9 @@ Node* ProgramGenerator::gen_statement(int depth, bool inside_function) {
       Node* target = rng_.bernoulli(0.5) && has_variables()
                          ? gen_reference()
                          : gen_member(0);
-      assignment->kids = {target, gen_expression(depth - 1)};
+      ast_->set_kids(assignment, {target, gen_expression(depth - 1)});
       Node* statement = ast_->make(NodeKind::kExpressionStatement);
-      statement->kids = {assignment};
+      ast_->set_kids(statement, {assignment});
       return statement;
     }
     case 6: case 7:
@@ -495,13 +505,13 @@ Node* ProgramGenerator::gen_statement(int depth, bool inside_function) {
     case 12:
       if (inside_function && rng_.bernoulli(0.5)) {
         Node* return_statement = ast_->make(NodeKind::kReturnStatement);
-        return_statement->kids = {gen_expression(depth - 1)};
+        ast_->set_kids(return_statement, {gen_expression(depth - 1)});
         return return_statement;
       }
       return gen_function_declaration(std::max(depth - 1, 1));
     default: {
       Node* statement = ast_->make(NodeKind::kExpressionStatement);
-      statement->kids = {gen_expression(depth - 1)};
+      ast_->set_kids(statement, {gen_expression(depth - 1)});
       return statement;
     }
   }
@@ -512,25 +522,25 @@ Node* ProgramGenerator::gen_top_level_item(const GeneratorOptions& options) {
   if (options.flavor == 2 && rng_.bernoulli(0.25)) {
     // var lib = require("name");
     Node* call = ast_->make(NodeKind::kCallExpression);
-    call->kids = {ast_->make_identifier("require"),
-                  ast_->make_string(camel_identifier(rng_, 1))};
+    ast_->set_kids(call, {ast_->make_identifier("require"),
+                          ast_->make_string(camel_identifier(rng_, 1))});
     Node* declarator = ast_->make(NodeKind::kVariableDeclarator);
-    declarator->kids = {ast_->make_identifier(declare(1)), call};
+    ast_->set_kids(declarator, {ast_->make_identifier(declare(1)), call});
     Node* declaration = ast_->make(NodeKind::kVariableDeclaration);
     declaration->str_value = rng_.bernoulli(0.5) ? "const" : "var";
-    declaration->kids = {declarator};
+    ast_->set_kids(declaration, {declarator});
     return declaration;
   }
   if (options.flavor == 1 && rng_.bernoulli(0.2)) {
     // document.addEventListener("...", function () { ... });
     Node* member = ast_->make(NodeKind::kMemberExpression);
-    member->kids = {ast_->make_identifier("document"),
-                    ast_->make_identifier("addEventListener")};
+    ast_->set_kids(member, {ast_->make_identifier("document"),
+                            ast_->make_identifier("addEventListener")});
     Node* call = ast_->make(NodeKind::kCallExpression);
-    call->kids = {member, gen_string_literal(),
-                  gen_function_expression(2, rng_.bernoulli(0.4))};
+    ast_->set_kids(call, {member, gen_string_literal(),
+                          gen_function_expression(2, rng_.bernoulli(0.4))});
     Node* statement = ast_->make(NodeKind::kExpressionStatement);
-    statement->kids = {call};
+    ast_->set_kids(statement, {call});
     return statement;
   }
   switch (rng_.index(8)) {
@@ -545,9 +555,9 @@ Node* ProgramGenerator::gen_top_level_item(const GeneratorOptions& options) {
       // IIFE module pattern.
       Node* function = gen_function_expression(depth, /*arrow=*/false);
       Node* call = ast_->make(NodeKind::kCallExpression);
-      call->kids = {function};
+      ast_->set_kids(call, {function});
       Node* statement = ast_->make(NodeKind::kExpressionStatement);
-      statement->kids = {call};
+      ast_->set_kids(statement, {call});
       return statement;
     }
     default:
@@ -599,7 +609,7 @@ std::string ProgramGenerator::generate(const GeneratorOptions& options) {
   std::size_t items = 0;
   // Keep appending top-level items until the printed source is big enough.
   while (items < kMaxTopLevelItems) {
-    program->kids.push_back(gen_top_level_item(options));
+    ast_->push_kid(program, gen_top_level_item(options));
     ++items;
     if (items >= 3) {
       printed = to_source(program);

@@ -9,7 +9,8 @@ ScriptAnalysis analyze_script(std::string_view source,
                               const AnalysisOptions& options) {
   ScriptAnalysis analysis;
   analysis.parse =
-      parse_program(source, options.budget, options.arena, options.atoms);
+      parse_program(source, options.budget, options.arena, options.atoms,
+                    options.tokens);
   if (options.build_cfg) {
     JST_SPAN("cfg");
     if (options.budget != nullptr) options.budget->set_stage("cfg");

@@ -29,8 +29,8 @@ struct AnalysisOptions {
   // Non-owning reusable CFG builder workspace; nullptr allocates per call.
   CfgScratch* cfg_scratch = nullptr;
   // Non-owning pooled front-end arena (support/arena.h). When set, the
-  // lexer, token stream, and AST all live in it and parse_program resets
-  // it first — the per-script pooling contract: the returned
+  // source copy, cooked payloads and AST all live in it and parse_program
+  // resets it first — the per-script pooling contract: the returned
   // ScriptAnalysis is valid only until the arena's next reset. nullptr
   // gives the Ast a private arena (fully self-contained result).
   support::Arena* arena = nullptr;
@@ -38,6 +38,9 @@ struct AnalysisOptions {
   // lockstep with the arena (parse_program). nullptr gives the Ast a
   // private table.
   support::AtomTable* atoms = nullptr;
+  // Non-owning pooled token buffer (parse_program), refilled per script
+  // and keeping its capacity. nullptr stores the tokens in the result.
+  std::vector<Token>* tokens = nullptr;
 };
 
 struct ScriptAnalysis {

@@ -169,8 +169,8 @@ void gather_handpicked(const Node& node, ExtractCounters& c) {
         }
         case LiteralKind::kNumber:
           ++c.number_literals;
-          if (node.raw.size() > 2 && node.raw[0] == '0' &&
-              (node.raw[1] == 'x' || node.raw[1] == 'X')) {
+          if (node.str_value.size() > 2 && node.str_value[0] == '0' &&
+              (node.str_value[1] == 'x' || node.str_value[1] == 'X')) {
             ++c.hex_number_literals;
           }
           break;

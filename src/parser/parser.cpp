@@ -115,7 +115,8 @@ struct ParserDepthGuard {
 };
 
 ParseResult parse_program(std::string_view source, Budget* budget,
-                          support::Arena* arena, support::AtomTable* atoms) {
+                          support::Arena* arena, support::AtomTable* atoms,
+                          std::vector<Token>* token_buffer) {
   // Pooled contract: the caller's arena is rewound for this script; any
   // previous ParseResult built in it is dead from here on. The pooled
   // atom table is cleared in the same breath — its views alias the arena.
@@ -130,26 +131,26 @@ ParseResult parse_program(std::string_view source, Budget* budget,
 
   if (budget != nullptr) budget->set_stage("lex");
   Lexer lexer(stable_source, frontend_arena, budget);
-  support::ArenaVec<Token> tokens(frontend_arena);
+  // Tokens go to a heap vector, not the arena: a pooled buffer keeps its
+  // capacity across scripts, and growth frees the block it outgrows
+  // (arena growth would strand it until the next reset).
+  std::vector<Token>& tokens =
+      token_buffer != nullptr ? *token_buffer : result.owned_tokens;
+  tokens.clear();
   {
     JST_SPAN("lex");
-    TokenStats& stats = result.token_stats;
     while (true) {
       Token token = lexer.next();
       if (token.type == TokenType::kEndOfFile) break;
-      if (token.type == TokenType::kPunctuator) ++stats.punctuators;
-      stats.raw_bytes += static_cast<double>(token.raw.size());
-      stats.max_line_length =
-          std::max(stats.max_line_length, token.column + token.raw.size());
+      result.token_stats.add(token);
       tokens.push_back(token);
     }
-    stats.count = tokens.size();
   }
   result.comment_count = lexer.comment_count();
   result.comment_bytes = lexer.comment_bytes();
   result.source_bytes = source.size();
   result.source_lines = lexer.line();
-  result.tokens = std::span<const Token>(tokens.data(), tokens.size());
+  result.tokens = tokens;
 
   JST_SPAN("parse");
   if (budget != nullptr) budget->set_stage("parse");
@@ -266,7 +267,7 @@ Node* Parser::parse_program_body() {
   Node* program = ast_.make(NodeKind::kProgram);
   program->line = tokens_.empty() ? 1 : tokens_.front().line;
   while (!at_end()) {
-    program->kids.push_back(parse_statement());
+    ast_.push_kid(program, parse_statement());
   }
   return program;
 }
@@ -341,7 +342,7 @@ Node* Parser::parse_block() {
   expect(TokenId::kLBrace);
   while (!check(TokenId::kRBrace)) {
     if (at_end()) fail("unterminated block");
-    block->kids.push_back(parse_statement());
+    ast_.push_kid(block, parse_statement());
   }
   expect(TokenId::kRBrace);
   return block;
@@ -357,8 +358,8 @@ Node* Parser::parse_variable_declaration() {
     Node* target = parse_binding_target();
     Node* init = nullptr;
     if (match(TokenId::kAssign)) init = parse_assignment();
-    declarator->kids = {target, init};
-    declaration->kids.push_back(declarator);
+    ast_.set_kids(declarator, {target, init});
+    ast_.push_kid(declaration, declarator);
     if (!match(TokenId::kComma)) break;
   }
   return declaration;
@@ -374,7 +375,7 @@ Node* Parser::parse_if() {
   Node* consequent = parse_statement();
   Node* alternate = nullptr;
   if (match(TokenId::kElse)) alternate = parse_statement();
-  node->kids = {test, consequent, alternate};
+  ast_.set_kids(node, {test, consequent, alternate});
   return node;
 }
 
@@ -406,7 +407,7 @@ Node* Parser::parse_for() {
       Node* right = parse_assignment();
       expect(TokenId::kRParen);
       Node* body = parse_statement();
-      node->kids = {init, right, body};
+      ast_.set_kids(node, {init, right, body});
       return node;
     }
     // `for (a in b)` with an expression head: the `in` was consumed as a
@@ -417,7 +418,7 @@ Node* Parser::parse_for() {
       node->line = line;
       advance();  // ')'
       Node* body = parse_statement();
-      node->kids = {init->kids[0], init->kids[1], body};
+      ast_.set_kids(node, {init->kids[0], init->kids[1], body});
       return node;
     }
     expect(TokenId::kSemicolon);
@@ -432,7 +433,7 @@ Node* Parser::parse_for() {
   if (!check(TokenId::kRParen)) update = parse_expression();
   expect(TokenId::kRParen);
   Node* body = parse_statement();
-  node->kids = {init, test, update, body};
+  ast_.set_kids(node, {init, test, update, body});
   return node;
 }
 
@@ -444,7 +445,7 @@ Node* Parser::parse_while() {
   Node* test = parse_expression();
   expect(TokenId::kRParen);
   Node* body = parse_statement();
-  node->kids = {test, body};
+  ast_.set_kids(node, {test, body});
   return node;
 }
 
@@ -458,7 +459,7 @@ Node* Parser::parse_do_while() {
   Node* test = parse_expression();
   expect(TokenId::kRParen);
   match(TokenId::kSemicolon);  // optional
-  node->kids = {body, test};
+  ast_.set_kids(node, {body, test});
   return node;
 }
 
@@ -467,7 +468,7 @@ Node* Parser::parse_switch() {
   node->line = current().line;
   expect(TokenId::kSwitch);
   expect(TokenId::kLParen);
-  node->kids.push_back(parse_expression());
+  ast_.push_kid(node, parse_expression());
   expect(TokenId::kRParen);
   expect(TokenId::kLBrace);
   while (!check(TokenId::kRBrace)) {
@@ -481,13 +482,13 @@ Node* Parser::parse_switch() {
       expect(TokenId::kDefault);
     }
     expect(TokenId::kColon);
-    switch_case->kids.push_back(test);
+    ast_.push_kid(switch_case, test);
     while (!check(TokenId::kRBrace) && !check(TokenId::kCase) &&
            !check(TokenId::kDefault)) {
       if (at_end()) fail("unterminated switch case");
-      switch_case->kids.push_back(parse_statement());
+      ast_.push_kid(switch_case, parse_statement());
     }
-    node->kids.push_back(switch_case);
+    ast_.push_kid(node, switch_case);
   }
   expect(TokenId::kRBrace);
   return node;
@@ -509,13 +510,13 @@ Node* Parser::parse_try() {
       expect(TokenId::kRParen);
     }
     Node* body = parse_block();
-    handler->kids = {param, body};
+    ast_.set_kids(handler, {param, body});
   }
   if (match(TokenId::kFinally)) finalizer = parse_block();
   if (handler == nullptr && finalizer == nullptr) {
     fail("try statement requires catch or finally");
   }
-  node->kids = {block, handler, finalizer};
+  ast_.set_kids(node, {block, handler, finalizer});
   return node;
 }
 
@@ -529,7 +530,7 @@ Node* Parser::parse_return() {
     argument = parse_expression();
   }
   consume_semicolon();
-  node->kids = {argument};
+  ast_.set_kids(node, {argument});
   return node;
 }
 
@@ -538,7 +539,7 @@ Node* Parser::parse_throw() {
   node->line = current().line;
   expect(TokenId::kThrow);
   if (current().newline_before) fail("newline after throw");
-  node->kids = {parse_expression()};
+  ast_.set_kids(node, {parse_expression()});
   consume_semicolon();
   return node;
 }
@@ -553,7 +554,7 @@ Node* Parser::parse_break_continue(bool is_break) {
     label = ast_.make_identifier(text(advance()));
   }
   consume_semicolon();
-  node->kids = {label};
+  ast_.set_kids(node, {label});
   return node;
 }
 
@@ -565,12 +566,12 @@ Node* Parser::parse_labeled_or_expression_statement() {
     label->line = node->line;
     advance();  // ':'
     Node* body = parse_statement();
-    node->kids = {label, body};
+    ast_.set_kids(node, {label, body});
     return node;
   }
   Node* node = ast_.make(NodeKind::kExpressionStatement);
   node->line = current().line;
-  node->kids = {parse_expression()};
+  ast_.set_kids(node, {parse_expression()});
   consume_semicolon();
   return node;
 }
@@ -583,7 +584,7 @@ Node* Parser::parse_with() {
   Node* object = parse_expression();
   expect(TokenId::kRParen);
   Node* body = parse_statement();
-  node->kids = {object, body};
+  ast_.set_kids(node, {object, body});
   return node;
 }
 
@@ -599,7 +600,7 @@ Node* Parser::parse_function(bool is_declaration, bool is_async) {
   } else if (is_declaration) {
     fail("function declaration requires a name");
   }
-  node->kids = {id, nullptr};  // body filled below
+  ast_.set_kids(node, {id, nullptr});  // body filled below
   return parse_function_rest(node);
 }
 
@@ -609,7 +610,7 @@ Node* Parser::parse_function_rest(Node* function_node) {
   Node* body = parse_block();
   --function_depth_;
   function_node->kids[1] = body;
-  for (Node* param : params) function_node->kids.push_back(param);
+  for (Node* param : params) ast_.push_kid(function_node, param);
   return function_node;
 }
 
@@ -621,7 +622,7 @@ std::vector<Node*> Parser::parse_params() {
     if (match(TokenId::kEllipsis)) {
       Node* rest = ast_.make(NodeKind::kRestElement);
       rest->line = current().line;
-      rest->kids = {parse_binding_target()};
+      ast_.set_kids(rest, {parse_binding_target()});
       params.push_back(rest);
     } else {
       params.push_back(parse_binding_element());
@@ -637,7 +638,7 @@ Node* Parser::parse_binding_element() {
   if (match(TokenId::kAssign)) {
     Node* pattern = ast_.make(NodeKind::kAssignmentPattern);
     pattern->line = target->line;
-    pattern->kids = {target, parse_assignment()};
+    ast_.set_kids(pattern, {target, parse_assignment()});
     return pattern;
   }
   return target;
@@ -651,16 +652,16 @@ Node* Parser::parse_binding_target() {
     while (!check(TokenId::kRBracket)) {
       if (at_end()) fail("unterminated array pattern");
       if (check(TokenId::kComma)) {
-        pattern->kids.push_back(nullptr);  // hole
+        ast_.push_kid(pattern, nullptr);  // hole
         advance();
         continue;
       }
       if (match(TokenId::kEllipsis)) {
         Node* rest = ast_.make(NodeKind::kRestElement);
-        rest->kids = {parse_binding_target()};
-        pattern->kids.push_back(rest);
+        ast_.set_kids(rest, {parse_binding_target()});
+        ast_.push_kid(pattern, rest);
       } else {
-        pattern->kids.push_back(parse_binding_element());
+        ast_.push_kid(pattern, parse_binding_element());
       }
       if (!check(TokenId::kRBracket)) expect(TokenId::kComma);
     }
@@ -675,8 +676,8 @@ Node* Parser::parse_binding_target() {
       if (at_end()) fail("unterminated object pattern");
       if (match(TokenId::kEllipsis)) {
         Node* rest = ast_.make(NodeKind::kRestElement);
-        rest->kids = {parse_binding_target()};
-        pattern->kids.push_back(rest);
+        ast_.set_kids(rest, {parse_binding_target()});
+        ast_.push_kid(pattern, rest);
       } else {
         Node* property = ast_.make(NodeKind::kProperty);
         property->line = current().line;
@@ -697,12 +698,12 @@ Node* Parser::parse_binding_target() {
           value->line = key->line;
           if (match(TokenId::kAssign)) {
             Node* with_default = ast_.make(NodeKind::kAssignmentPattern);
-            with_default->kids = {value, parse_assignment()};
+            ast_.set_kids(with_default, {value, parse_assignment()});
             value = with_default;
           }
         }
-        property->kids = {key, value};
-        pattern->kids.push_back(property);
+        ast_.set_kids(property, {key, value});
+        ast_.push_kid(pattern, property);
       }
       if (!check(TokenId::kRBrace)) expect(TokenId::kComma);
     }
@@ -770,13 +771,13 @@ Node* Parser::parse_class(bool is_declaration) {
     function->line = method->line;
     function->flag_b = is_generator;
     function->flag_c = is_async;
-    function->kids = {nullptr, nullptr};
+    ast_.set_kids(function, {nullptr, nullptr});
     parse_function_rest(function);
-    method->kids = {key, function};
-    body->kids.push_back(method);
+    ast_.set_kids(method, {key, function});
+    ast_.push_kid(body, method);
   }
   expect(TokenId::kRBrace);
-  node->kids = {id, super_class, body};
+  ast_.set_kids(node, {id, super_class, body});
   return node;
 }
 
@@ -785,9 +786,9 @@ Node* Parser::parse_expression() {
   if (!check(TokenId::kComma)) return first;
   Node* sequence = ast_.make(NodeKind::kSequenceExpression);
   sequence->line = first->line;
-  sequence->kids.push_back(first);
+  ast_.push_kid(sequence, first);
   while (match(TokenId::kComma)) {
-    sequence->kids.push_back(parse_assignment());
+    ast_.push_kid(sequence, parse_assignment());
   }
   return sequence;
 }
@@ -830,7 +831,7 @@ Node* Parser::parse_assignment() {
         !ends_yield_argument(current().id)) {
       argument = parse_assignment();
     }
-    node->kids = {argument};
+    ast_.set_kids(node, {argument});
     return node;
   }
 
@@ -840,7 +841,7 @@ Node* Parser::parse_assignment() {
     node->line = left->line;
     node->str_value = text(advance());
     Node* right = parse_assignment();
-    node->kids = {left, right};
+    ast_.set_kids(node, {left, right});
     return node;
   }
   return left;
@@ -859,8 +860,8 @@ Node* Parser::parse_arrow_tail(std::vector<Node*> params, bool is_async) {
     node->flag_a = true;  // expression body
     body = parse_assignment();
   }
-  node->kids.push_back(body);
-  for (Node* param : params) node->kids.push_back(param);
+  ast_.push_kid(node, body);
+  for (Node* param : params) ast_.push_kid(node, param);
   return node;
 }
 
@@ -872,7 +873,7 @@ Node* Parser::parse_conditional() {
   Node* consequent = parse_assignment();
   expect(TokenId::kColon);
   Node* alternate = parse_assignment();
-  node->kids = {test, consequent, alternate};
+  ast_.set_kids(node, {test, consequent, alternate});
   return node;
 }
 
@@ -890,7 +891,7 @@ Node* Parser::parse_binary(int min_precedence) {
                                       : NodeKind::kBinaryExpression);
     node->line = left->line;
     node->str_value = token_id_text(id);
-    node->kids = {left, right};
+    ast_.set_kids(node, {left, right});
     left = node;
   }
   return left;
@@ -906,7 +907,7 @@ Node* Parser::parse_unary() {
     node->line = token.line;
     node->str_value = token_id_text(advance().id);
     node->flag_a = true;  // prefix
-    node->kids = {parse_unary()};
+    ast_.set_kids(node, {parse_unary()});
     return node;
   }
   if (check(TokenId::kAwait) && !peek(1).newline_before &&
@@ -914,7 +915,7 @@ Node* Parser::parse_unary() {
     Node* node = ast_.make(NodeKind::kAwaitExpression);
     node->line = token.line;
     advance();
-    node->kids = {parse_unary()};
+    ast_.set_kids(node, {parse_unary()});
     return node;
   }
   return parse_postfix();
@@ -928,7 +929,7 @@ Node* Parser::parse_postfix() {
     node->line = expression->line;
     node->str_value = token_id_text(advance().id);
     node->flag_a = false;  // postfix
-    node->kids = {expression};
+    ast_.set_kids(node, {expression});
     return node;
   }
   return expression;
@@ -946,7 +947,7 @@ Node* Parser::parse_new() {
   }
   Node* node = ast_.make(NodeKind::kNewExpression);
   node->line = line;
-  node->kids = {callee};
+  ast_.set_kids(node, {callee});
   if (match(TokenId::kLParen)) parse_arguments(node);
   return parse_call_member(node, /*allow_call=*/true);
 }
@@ -956,10 +957,10 @@ void Parser::parse_arguments(Node* call) {
     if (at_end()) fail("unterminated argument list");
     if (match(TokenId::kEllipsis)) {
       Node* spread = ast_.make(NodeKind::kSpreadElement);
-      spread->kids = {parse_assignment()};
-      call->kids.push_back(spread);
+      ast_.set_kids(spread, {parse_assignment()});
+      ast_.push_kid(call, spread);
     } else {
-      call->kids.push_back(parse_assignment());
+      ast_.push_kid(call, parse_assignment());
     }
     if (!match(TokenId::kComma)) break;
   }
@@ -983,13 +984,13 @@ Node* Parser::parse_call_member(Node* base, bool allow_call) {
       node->flag_a = true;  // bracket (computed) notation
       Node* property = parse_expression();
       expect(TokenId::kRBracket);
-      node->kids = {base, property};
+      ast_.set_kids(node, {base, property});
       base = node;
     } else if (allow_call && check(TokenId::kLParen)) {
       advance();
       Node* node = ast_.make(NodeKind::kCallExpression);
       node->line = base->line;
-      node->kids = {base};
+      ast_.set_kids(node, {base});
       parse_arguments(node);
       base = node;
     } else if (chained || match(TokenId::kDot)) {
@@ -1004,14 +1005,14 @@ Node* Parser::parse_call_member(Node* base, bool allow_call) {
       }
       Node* property = ast_.make_identifier(text(advance()));
       node->flag_a = false;  // dot notation
-      node->kids = {base, property};
+      ast_.set_kids(node, {base, property});
       base = node;
     } else if (current().type == TokenType::kTemplate) {
       // Tagged template.
       Node* node = ast_.make(NodeKind::kTaggedTemplateExpression);
       node->line = base->line;
       Node* quasi = parse_template_literal(advance());
-      node->kids = {base, quasi};
+      ast_.set_kids(node, {base, quasi});
       base = node;
     } else {
       break;
@@ -1030,9 +1031,9 @@ Node* Parser::parse_template_literal(const Token& token) {
     Node* quasi = ast_.make(NodeKind::kTemplateElement);
     quasi->line = token.line;
     quasi->str_value = parts.quasis[i];
-    node->kids.push_back(quasi);
+    ast_.push_kid(node, quasi);
     if (i < parts.expressions.size()) {
-      node->kids.push_back(parse_subexpression(parts.expressions[i]));
+      ast_.push_kid(node, parse_subexpression(parts.expressions[i]));
     }
   }
   return node;
@@ -1069,17 +1070,17 @@ Node* Parser::parse_array_literal() {
   while (!check(TokenId::kRBracket)) {
     if (at_end()) fail("unterminated array literal");
     if (check(TokenId::kComma)) {
-      node->kids.push_back(nullptr);  // elision
+      ast_.push_kid(node, nullptr);  // elision
       advance();
       continue;
     }
     if (match(TokenId::kEllipsis)) {
       Node* spread = ast_.make(NodeKind::kSpreadElement);
       spread->line = current().line;
-      spread->kids = {parse_assignment()};
-      node->kids.push_back(spread);
+      ast_.set_kids(spread, {parse_assignment()});
+      ast_.push_kid(node, spread);
     } else {
-      node->kids.push_back(parse_assignment());
+      ast_.push_kid(node, parse_assignment());
     }
     if (!check(TokenId::kRBracket)) expect(TokenId::kComma);
   }
@@ -1104,7 +1105,7 @@ Node* Parser::parse_property_key(bool* computed) {
       break;
     case TokenType::kNumericLiteral:
       key = ast_.make_number(numeric_value(token));
-      key->raw = token.raw;
+      key->str_value = token.raw;
       break;
     case TokenType::kIdentifier:
     case TokenType::kKeyword:
@@ -1140,9 +1141,9 @@ Node* Parser::parse_object_property() {
     property->flag_a = computed;
     Node* function = ast_.make(NodeKind::kFunctionExpression);
     function->line = property->line;
-    function->kids = {nullptr, nullptr};
+    ast_.set_kids(function, {nullptr, nullptr});
     parse_function_rest(function);
-    property->kids = {key, function};
+    ast_.set_kids(property, {key, function});
     return property;
   }
 
@@ -1164,15 +1165,15 @@ Node* Parser::parse_object_property() {
     function->line = property->line;
     function->flag_b = is_generator;
     function->flag_c = is_async;
-    function->kids = {nullptr, nullptr};
+    ast_.set_kids(function, {nullptr, nullptr});
     parse_function_rest(function);
-    property->kids = {key, function};
+    ast_.set_kids(property, {key, function});
     return property;
   }
   if (is_async || is_generator) fail("expected method body");
 
   if (match(TokenId::kColon)) {
-    property->kids = {key, parse_assignment()};
+    ast_.set_kids(property, {key, parse_assignment()});
     return property;
   }
   // Shorthand property {a} or {a = default} (the latter only valid in
@@ -1183,10 +1184,10 @@ Node* Parser::parse_object_property() {
   value->line = key->line;
   if (match(TokenId::kAssign)) {
     Node* with_default = ast_.make(NodeKind::kAssignmentPattern);
-    with_default->kids = {value, parse_assignment()};
+    ast_.set_kids(with_default, {value, parse_assignment()});
     value = with_default;
   }
-  property->kids = {key, value};
+  ast_.set_kids(property, {key, value});
   return property;
 }
 
@@ -1199,10 +1200,10 @@ Node* Parser::parse_object_literal() {
     if (match(TokenId::kEllipsis)) {
       Node* spread = ast_.make(NodeKind::kSpreadElement);
       spread->line = current().line;
-      spread->kids = {parse_assignment()};
-      node->kids.push_back(spread);
+      ast_.set_kids(spread, {parse_assignment()});
+      ast_.push_kid(node, spread);
     } else {
-      node->kids.push_back(parse_object_property());
+      ast_.push_kid(node, parse_object_property());
     }
     if (!check(TokenId::kRBrace)) expect(TokenId::kComma);
   }
@@ -1216,11 +1217,10 @@ Node* Parser::parse_primary() {
   switch (token.type) {
     case TokenType::kNumericLiteral:
       node = ast_.make_number(numeric_value(token));
-      node->raw = token.raw;
+      node->str_value = token.raw;
       break;
     case TokenType::kStringLiteral:
       node = ast_.make_string(text(token));
-      node->raw = token.raw;
       break;
     case TokenType::kBooleanLiteral:
       node = ast_.make_bool(token.id == TokenId::kTrue);
@@ -1229,7 +1229,10 @@ Node* Parser::parse_primary() {
       node = ast_.make_null();
       break;
     case TokenType::kRegularExpression:
-      node = ast_.make_regex(text(token), regex_flags(token));
+      // The raw slice after the opening slash is "pattern/flags" already.
+      node = ast_.make(NodeKind::kLiteral);
+      node->lit_kind = LiteralKind::kRegExp;
+      node->str_value = token.raw.substr(1);
       break;
     case TokenType::kTemplate:
       return parse_template_literal(advance());

@@ -13,6 +13,7 @@
 // Parser answers the arrow-function lookahead in O(1).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -26,9 +27,6 @@
 
 namespace jst {
 
-// Parse result: the arena plus lexical statistics needed by the feature
-// extractor (comment volume is erased from the AST but matters for
-// minification detection).
 // Aggregates over the token stream, accumulated during lexing while the
 // tokens are cache-hot. The hand-picked feature block consumes these
 // four numbers instead of re-walking the (cold, string-heavy) token
@@ -42,20 +40,36 @@ struct TokenStats {
   // the exact order/type the feature assembly historically used, so the
   // derived features are bit-identical.
   double raw_bytes = 0.0;
+
+  // Counts one token (never the EOF token), in stream order.
+  void add(const Token& token) {
+    ++count;
+    if (token.type == TokenType::kPunctuator) ++punctuators;
+    raw_bytes += static_cast<double>(token.raw.size());
+    max_line_length = std::max(max_line_length,
+                               token.column + token.raw.size());
+  }
 };
 
+// Parse result: the AST, the token stream, and the lexical statistics the
+// feature extractor needs (comment volume is erased from the AST but
+// matters for minification detection).
 struct ParseResult {
   Ast ast;
-  // Full token stream (no EOF), stored in the same arena as the AST. The
-  // span (and every token payload view) shares the arena's lifetime: for
-  // an owned-arena parse it lives as long as `ast`; for a pooled-arena
-  // parse it is valid until the pool's next reset.
-  std::span<const Token> tokens;
-  TokenStats token_stats;
+  // Full token stream (no EOF). Token payload views point into the Ast's
+  // arena. For an unpooled parse the span is over `owned_tokens` and
+  // lives as long as this result (a move keeps it valid: the vector's
+  // buffer moves with it); for a pooled parse it is over the caller's
+  // token buffer and is valid until the pool's next script.
+  std::span<const Token> tokens{};
+  TokenStats token_stats{};
   std::size_t comment_count = 0;
   std::size_t comment_bytes = 0;
   std::size_t source_bytes = 0;
   std::size_t source_lines = 0;
+  // Token storage of an unpooled parse; empty when the tokens live in a
+  // caller's buffer.
+  std::vector<Token> owned_tokens{};
 };
 
 // Parses a full program. Throws ParseError on malformed input, and before
@@ -72,10 +86,14 @@ struct ParseResult {
 // self-contained. `atoms`, when non-null, is the pooled identifier atom
 // table the parser interns into (cleared here, in lockstep with the
 // arena reset, because the interned views alias the arena); null gives
-// the Ast a private table.
+// the Ast a private table. `tokens`, when non-null, is the pooled token
+// buffer: it is cleared and refilled, keeping its capacity, and the
+// result's `tokens` span points into it. Null stores the stream in the
+// result's own `owned_tokens`.
 ParseResult parse_program(std::string_view source, Budget* budget = nullptr,
                           support::Arena* arena = nullptr,
-                          support::AtomTable* atoms = nullptr);
+                          support::AtomTable* atoms = nullptr,
+                          std::vector<Token>* tokens = nullptr);
 
 // Convenience: true if the source parses.
 bool parses(std::string_view source);
@@ -83,8 +101,8 @@ bool parses(std::string_view source);
 class Parser {
  public:
   // `tokens` must not contain the EOF token and must stay alive for the
-  // parse (parse_program keeps it in the arena). Payloads the tokens do
-  // not carry are recomputed into the Ast's arena. `budget`, when
+  // parse. Payloads the tokens do not carry are recomputed into the Ast's
+  // arena. `budget`, when
   // non-null, has its AST-depth ceiling checked on every nesting step.
   Parser(std::span<const Token> tokens, Ast& ast, Budget* budget = nullptr);
 

@@ -18,28 +18,30 @@ Node* make_bogus_expression(Ast& ast, Rng& rng) {
     case 0: {  // arithmetic on random numbers
       Node* op = ast.make(NodeKind::kBinaryExpression);
       op->str_value = rng.bernoulli(0.5) ? "*" : "+";
-      op->kids = {ast.make_number(static_cast<double>(rng.uniform_int(1, 9999))),
-                  ast.make_number(static_cast<double>(rng.uniform_int(1, 999)))};
+      ast.set_kids(
+          op, {ast.make_number(static_cast<double>(rng.uniform_int(1, 9999))),
+               ast.make_number(static_cast<double>(rng.uniform_int(1, 999)))});
       return op;
     }
     case 1: {  // string concat
       Node* op = ast.make(NodeKind::kBinaryExpression);
       op->str_value = "+";
-      op->kids = {ast.make_string(rng.hex_string(6)),
-                  ast.make_string(rng.hex_string(4))};
+      ast.set_kids(op, {ast.make_string(rng.hex_string(6)),
+                        ast.make_string(rng.hex_string(4))});
       return op;
     }
     case 2: {  // comparison
       Node* op = ast.make(NodeKind::kBinaryExpression);
       op->str_value = rng.bernoulli(0.5) ? "<" : "===";
-      op->kids = {ast.make_number(static_cast<double>(rng.uniform_int(0, 100))),
-                  ast.make_number(static_cast<double>(rng.uniform_int(0, 100)))};
+      ast.set_kids(
+          op, {ast.make_number(static_cast<double>(rng.uniform_int(0, 100))),
+               ast.make_number(static_cast<double>(rng.uniform_int(0, 100)))});
       return op;
     }
     default: {  // ternary over booleans
       Node* conditional = ast.make(NodeKind::kConditionalExpression);
-      conditional->kids = {ast.make_bool(rng.bernoulli(0.5)),
-                           ast.make_number(1.0), ast.make_number(0.0)};
+      ast.set_kids(conditional, {ast.make_bool(rng.bernoulli(0.5)),
+                                 ast.make_number(1.0), ast.make_number(0.0)});
       return conditional;
     }
   }
@@ -49,33 +51,33 @@ Node* make_dead_statement(Ast& ast, Rng& rng, const std::vector<Node*>& pool) {
   switch (rng.index(3)) {
     case 0: {  // var _0x = <expr>;
       Node* declarator = ast.make(NodeKind::kVariableDeclarator);
-      declarator->kids = {ast.make_identifier(hex_name(rng)),
-                          make_bogus_expression(ast, rng)};
+      ast.set_kids(declarator, {ast.make_identifier(hex_name(rng)),
+                                make_bogus_expression(ast, rng)});
       Node* declaration = ast.make(NodeKind::kVariableDeclaration);
       declaration->str_value = "var";
-      declaration->kids = {declarator};
+      ast.set_kids(declaration, {declarator});
       return declaration;
     }
     case 1: {  // if (false) { <cloned or bogus statements> }
       Node* body = ast.make(NodeKind::kBlockStatement);
       if (!pool.empty() && rng.bernoulli(0.6)) {
-        body->kids.push_back(ast.clone(pool[rng.index(pool.size())]));
+        ast.push_kid(body, ast.clone(pool[rng.index(pool.size())]));
       } else {
         Node* statement = ast.make(NodeKind::kExpressionStatement);
-        statement->kids = {make_bogus_expression(ast, rng)};
-        body->kids.push_back(statement);
+        ast.set_kids(statement, {make_bogus_expression(ast, rng)});
+        ast.push_kid(body, statement);
       }
       Node* branch = ast.make(NodeKind::kIfStatement);
-      branch->kids = {ast.make_bool(false), body, nullptr};
+      ast.set_kids(branch, {ast.make_bool(false), body, nullptr});
       return branch;
     }
     default: {  // function _0x() { return <expr>; }  (never called)
       Node* return_statement = ast.make(NodeKind::kReturnStatement);
-      return_statement->kids = {make_bogus_expression(ast, rng)};
+      ast.set_kids(return_statement, {make_bogus_expression(ast, rng)});
       Node* body = ast.make(NodeKind::kBlockStatement);
-      body->kids = {return_statement};
+      ast.set_kids(body, {return_statement});
       Node* function = ast.make(NodeKind::kFunctionDeclaration);
-      function->kids = {ast.make_identifier(hex_name(rng)), body};
+      ast.set_kids(function, {ast.make_identifier(hex_name(rng)), body});
       return function;
     }
   }
@@ -129,7 +131,7 @@ std::string inject_dead_code(std::string_view source, Rng& rng,
       rebuilt.push_back(make_dead_statement(ast, rng, pool));
       ++injected;
     }
-    container->kids.assign(rebuilt.begin(), rebuilt.end());
+    ast.assign_kids(container, rebuilt.begin(), rebuilt.end());
   }
   ast.finalize();
   // Dead-code injectors (obfuscator.io) rename identifiers and compact

@@ -62,8 +62,9 @@ bool contains_rebinding_jump(const Node& node, bool inside_protector) {
   return false;
 }
 
-void flatten_list(Ast& ast, NodeList& statements, Rng& rng,
+void flatten_list(Ast& ast, Node* container, Rng& rng,
                   const FlattenOptions& options) {
+  const NodeList& statements = container->kids;
   // Partition: leading hoisted declarations stay, the longest safe run is
   // flattened.
   std::vector<Node*> head;
@@ -107,50 +108,50 @@ void flatten_list(Ast& ast, NodeList& statements, Rng& rng,
 
   // var _0xorder = "...".split("|"), _0xstep = 0;
   Node* split_member = ast.make(NodeKind::kMemberExpression);
-  split_member->kids = {ast.make_string(order_string),
-                        ast.make_identifier("split")};
+  ast.set_kids(split_member, {ast.make_string(order_string),
+                              ast.make_identifier("split")});
   Node* split_call = ast.make(NodeKind::kCallExpression);
-  split_call->kids = {split_member, ast.make_string("|")};
+  ast.set_kids(split_call, {split_member, ast.make_string("|")});
   Node* order_declarator = ast.make(NodeKind::kVariableDeclarator);
-  order_declarator->kids = {ast.make_identifier(order_name), split_call};
+  ast.set_kids(order_declarator, {ast.make_identifier(order_name), split_call});
   Node* step_declarator = ast.make(NodeKind::kVariableDeclarator);
-  step_declarator->kids = {ast.make_identifier(step_name),
-                           ast.make_number(0.0)};
+  ast.set_kids(step_declarator, {ast.make_identifier(step_name),
+                                 ast.make_number(0.0)});
   Node* declaration = ast.make(NodeKind::kVariableDeclaration);
   declaration->str_value = "var";
-  declaration->kids = {order_declarator, step_declarator};
+  ast.set_kids(declaration, {order_declarator, step_declarator});
 
   // switch (_0xorder[_0xstep++]) { case "i": stmt; continue; }
   Node* step_update = ast.make(NodeKind::kUpdateExpression);
   step_update->str_value = "++";
   step_update->flag_a = false;  // postfix
-  step_update->kids = {ast.make_identifier(step_name)};
+  ast.set_kids(step_update, {ast.make_identifier(step_name)});
   Node* discriminant = ast.make(NodeKind::kMemberExpression);
   discriminant->flag_a = true;
-  discriminant->kids = {ast.make_identifier(order_name), step_update};
+  ast.set_kids(discriminant, {ast.make_identifier(order_name), step_update});
   Node* switch_statement = ast.make(NodeKind::kSwitchStatement);
-  switch_statement->kids = {discriminant};
+  ast.set_kids(switch_statement, {discriminant});
   for (std::size_t case_id = 0; case_id < run.size(); ++case_id) {
     Node* switch_case = ast.make(NodeKind::kSwitchCase);
     Node* continue_statement = ast.make(NodeKind::kContinueStatement);
-    continue_statement->kids = {nullptr};
-    switch_case->kids = {ast.make_string(std::to_string(case_id)),
-                         run[shuffled[case_id]], continue_statement};
-    switch_statement->kids.push_back(switch_case);
+    ast.set_kids(continue_statement, {nullptr});
+    ast.set_kids(switch_case, {ast.make_string(std::to_string(case_id)),
+                               run[shuffled[case_id]], continue_statement});
+    ast.push_kid(switch_statement, switch_case);
   }
 
   // while (true) { switch ...; break; }
   Node* break_statement = ast.make(NodeKind::kBreakStatement);
-  break_statement->kids = {nullptr};
+  ast.set_kids(break_statement, {nullptr});
   Node* loop_body = ast.make(NodeKind::kBlockStatement);
-  loop_body->kids = {switch_statement, break_statement};
+  ast.set_kids(loop_body, {switch_statement, break_statement});
   Node* loop = ast.make(NodeKind::kWhileStatement);
-  loop->kids = {ast.make_bool(true), loop_body};
+  ast.set_kids(loop, {ast.make_bool(true), loop_body});
 
-  statements.assign(head.begin(), head.end());
-  statements.push_back(declaration);
-  statements.push_back(loop);
-  statements.insert(statements.cend(), tail.begin(), tail.end());
+  ast.assign_kids(container, head.begin(), head.end());
+  ast.push_kid(container, declaration);
+  ast.push_kid(container, loop);
+  ast.insert_kids(container, container->kids.size(), tail.begin(), tail.end());
 }
 
 }  // namespace
@@ -162,14 +163,14 @@ std::string flatten_control_flow(std::string_view source, Rng& rng,
   ast.finalize();
 
   // Flatten the program body and every function body.
-  flatten_list(ast, ast.root()->kids, rng, options);
+  flatten_list(ast, ast.root(), rng, options);
   walk_preorder(ast.root(), [&](Node& node) {
     if (!node.is_function()) return;
     Node* body = node.kind == NodeKind::kArrowFunctionExpression
                      ? node.kid(0)
                      : node.kid(1);
     if (body != nullptr && body->kind == NodeKind::kBlockStatement) {
-      flatten_list(ast, body->kids, rng, options);
+      flatten_list(ast, body, rng, options);
     }
   });
   ast.finalize();

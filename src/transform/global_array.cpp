@@ -79,12 +79,12 @@ std::string global_array_transform(std::string_view source, Rng& rng,
     Node* call = ast.make(NodeKind::kCallExpression);
     Node* index_literal = ast.make_number(
         static_cast<double>(static_cast<long long>(literal_index[i]) + offset));
-    index_literal->raw = ast.intern(
+    index_literal->str_value = ast.intern(
         "0x" + strings::to_base_n(
                    static_cast<std::uint64_t>(
                        static_cast<long long>(literal_index[i]) + offset),
                    16));
-    call->kids = {ast.make_identifier(accessor_name), index_literal};
+    ast.set_kids(call, {ast.make_identifier(accessor_name), index_literal});
     Node* parent = literal->parent;
     for (Node*& kid : parent->kids) {
       if (kid == literal) kid = call;
@@ -98,34 +98,34 @@ std::string global_array_transform(std::string_view source, Rng& rng,
   for (const std::string& value : table) {
     Node* entry = ast.make_string(value);
     entry->flag_a = true;  // \xHH encoding
-    array->kids.push_back(entry);
+    ast.push_kid(array, entry);
   }
   Node* declarator = ast.make(NodeKind::kVariableDeclarator);
-  declarator->kids = {ast.make_identifier(array_name), array};
+  ast.set_kids(declarator, {ast.make_identifier(array_name), array});
   Node* declaration = ast.make(NodeKind::kVariableDeclaration);
   declaration->str_value = "var";
-  declaration->kids = {declarator};
+  ast.set_kids(declaration, {declarator});
 
   Node* param = ast.make_identifier("i");
   Node* index_expr = ast.make(NodeKind::kBinaryExpression);
   index_expr->str_value = "-";
   Node* offset_literal = ast.make_number(static_cast<double>(offset));
-  offset_literal->raw = ast.intern(
+  offset_literal->str_value = ast.intern(
       "0x" + strings::to_base_n(static_cast<std::uint64_t>(offset), 16));
-  index_expr->kids = {ast.make_identifier("i"), offset_literal};
+  ast.set_kids(index_expr, {ast.make_identifier("i"), offset_literal});
   Node* member = ast.make(NodeKind::kMemberExpression);
   member->flag_a = true;
-  member->kids = {ast.make_identifier(array_name), index_expr};
+  ast.set_kids(member, {ast.make_identifier(array_name), index_expr});
   Node* return_statement = ast.make(NodeKind::kReturnStatement);
-  return_statement->kids = {member};
+  ast.set_kids(return_statement, {member});
   Node* body = ast.make(NodeKind::kBlockStatement);
-  body->kids = {return_statement};
+  ast.set_kids(body, {return_statement});
   Node* accessor = ast.make(NodeKind::kFunctionDeclaration);
-  accessor->kids = {ast.make_identifier(accessor_name), body, param};
+  ast.set_kids(accessor, {ast.make_identifier(accessor_name), body, param});
 
   Node* root = ast.root();
-  root->kids.insert(root->kids.begin(), accessor);
-  root->kids.insert(root->kids.begin(), declaration);
+  Node* const prologue[] = {declaration, accessor};
+  ast.insert_kids(root, 0, std::begin(prologue), std::end(prologue));
   ast.finalize();
   // String-array tools (obfuscator.io) always emit compact output, so a
   // global-array sample also carries a minification trace.

@@ -41,7 +41,6 @@ void replace_node(Node& node, const Node& replacement) {
   node.kids = replacement.kids;
   node.str_value = replacement.str_value;
   node.atom = replacement.atom;
-  node.raw = replacement.raw;
   node.num_value = replacement.num_value;
   node.lit_kind = replacement.lit_kind;
   node.flag_a = replacement.flag_a;
@@ -116,7 +115,7 @@ void shorten_booleans(Ast& ast, Node* root) {
     Node* bang = ast.make(NodeKind::kUnaryExpression);
     bang->str_value = "!";
     bang->flag_a = true;
-    bang->kids = {zero_or_one};
+    ast.set_kids(bang, {zero_or_one});
     replace_node(node, *bang);
   });
 }
@@ -148,16 +147,17 @@ void simplify_statements(Ast& ast, Node* root) {
         Node* alternate_expression = single_expression(alternate);
         if (alternate_expression == nullptr) return;
         Node* ternary = ast.make(NodeKind::kConditionalExpression);
-        ternary->kids = {test, consequent_expression, alternate_expression};
+        ast.set_kids(ternary,
+                     {test, consequent_expression, alternate_expression});
         Node* statement = ast.make(NodeKind::kExpressionStatement);
-        statement->kids = {ternary};
+        ast.set_kids(statement, {ternary});
         replace_node(node, *statement);
       } else {
         Node* logical = ast.make(NodeKind::kLogicalExpression);
         logical->str_value = "&&";
-        logical->kids = {test, consequent_expression};
+        ast.set_kids(logical, {test, consequent_expression});
         Node* statement = ast.make(NodeKind::kExpressionStatement);
-        statement->kids = {logical};
+        ast.set_kids(statement, {logical});
         replace_node(node, *statement);
       }
     }
@@ -167,8 +167,8 @@ void simplify_statements(Ast& ast, Node* root) {
 // Removes empty statements and code after return/throw/break/continue in
 // every block; eliminates if(true)/if(false) constant branches; merges
 // consecutive `var` declarations.
-void clean_statement_lists(Node* root, bool merge_vars) {
-  walk_preorder(root, [merge_vars](Node& node) {
+void clean_statement_lists(Ast& ast, Node* root, bool merge_vars) {
+  walk_preorder(root, [&ast, merge_vars](Node& node) {
     if (node.kind != NodeKind::kProgram &&
         node.kind != NodeKind::kBlockStatement) {
       return;
@@ -197,9 +197,9 @@ void clean_statement_lists(Node* root, bool merge_vars) {
           statement->kind == NodeKind::kVariableDeclaration &&
           rebuilt.back()->kind == NodeKind::kVariableDeclaration &&
           rebuilt.back()->str_value == statement->str_value) {
-        rebuilt.back()->kids.insert(rebuilt.back()->kids.end(),
-                                    statement->kids.begin(),
-                                    statement->kids.end());
+        Node* merged = rebuilt.back();
+        ast.insert_kids(merged, merged->kids.size(), statement->kids.begin(),
+                        statement->kids.end());
         continue;
       }
       rebuilt.push_back(statement);
@@ -214,7 +214,7 @@ void clean_statement_lists(Node* root, bool merge_vars) {
           break;
       }
     }
-    node.kids.assign(rebuilt.begin(), rebuilt.end());
+    ast.assign_kids(&node, rebuilt.begin(), rebuilt.end());
   });
 }
 
@@ -231,13 +231,13 @@ std::string minify(std::string_view source, const MinifyOptions& options) {
     }
     // Eliminate constant branches before the if->ternary rewrite would
     // turn them into live expressions.
-    clean_statement_lists(ast.root(), /*merge_vars=*/false);
+    clean_statement_lists(ast, ast.root(), /*merge_vars=*/false);
     simplify_statements(ast, ast.root());
     ast.finalize();
-    clean_statement_lists(ast.root(), /*merge_vars=*/true);
+    clean_statement_lists(ast, ast.root(), /*merge_vars=*/true);
     shorten_booleans(ast, ast.root());
   } else {
-    clean_statement_lists(ast.root(), /*merge_vars=*/false);
+    clean_statement_lists(ast, ast.root(), /*merge_vars=*/false);
   }
   ast.finalize();
 

@@ -47,7 +47,7 @@ Node* make_concat_chain(Ast& ast, std::string_view value,
   for (std::size_t i = 1; i < chunks.size(); ++i) {
     Node* plus = ast.make(NodeKind::kBinaryExpression);
     plus->str_value = "+";
-    plus->kids = {left, ast.make_string(chunks[i])};
+    ast.set_kids(plus, {left, ast.make_string(chunks[i])});
     left = plus;
   }
   return left;
@@ -57,11 +57,11 @@ Node* make_from_char_code(Ast& ast, std::string_view value) {
   // String.fromCharCode(c0, c1, ...)
   Node* string_id = ast.make_identifier("String");
   Node* member = ast.make(NodeKind::kMemberExpression);
-  member->kids = {string_id, ast.make_identifier("fromCharCode")};
+  ast.set_kids(member, {string_id, ast.make_identifier("fromCharCode")});
   Node* call = ast.make(NodeKind::kCallExpression);
-  call->kids = {member};
+  ast.set_kids(call, {member});
   for (unsigned char c : value) {
-    call->kids.push_back(ast.make_number(static_cast<double>(c)));
+    ast.push_kid(call, ast.make_number(static_cast<double>(c)));
   }
   return call;
 }

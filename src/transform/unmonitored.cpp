@@ -77,8 +77,8 @@ std::string obfuscate_integers(std::string_view source, Rng& rng,
         const long long a = rng.uniform_int(-999, 999);
         Node* sum = ast.make(NodeKind::kBinaryExpression);
         sum->str_value = "+";
-        sum->kids = {ast.make_number(static_cast<double>(a)),
-                     ast.make_number(static_cast<double>(value - a))};
+        ast.set_kids(sum, {ast.make_number(static_cast<double>(a)),
+                           ast.make_number(static_cast<double>(value - a))});
         replacement = sum;
         break;
       }
@@ -88,11 +88,11 @@ std::string obfuscate_integers(std::string_view source, Rng& rng,
         const long long c = value - a * b;
         Node* product = ast.make(NodeKind::kBinaryExpression);
         product->str_value = "*";
-        product->kids = {ast.make_number(static_cast<double>(a)),
-                         ast.make_number(static_cast<double>(b))};
+        ast.set_kids(product, {ast.make_number(static_cast<double>(a)),
+                               ast.make_number(static_cast<double>(b))});
         Node* sum = ast.make(NodeKind::kBinaryExpression);
         sum->str_value = "+";
-        sum->kids = {product, ast.make_number(static_cast<double>(c))};
+        ast.set_kids(sum, {product, ast.make_number(static_cast<double>(c))});
         replacement = sum;
         break;
       }
@@ -101,20 +101,21 @@ std::string obfuscate_integers(std::string_view source, Rng& rng,
         Node* inner = ast.make(NodeKind::kBinaryExpression);
         inner->str_value = "^";
         Node* mask_literal = ast.make_number(static_cast<double>(mask));
-        mask_literal->raw = ast.intern(
+        mask_literal->str_value = ast.intern(
             "0x" + strings::to_base_n(static_cast<std::uint64_t>(mask), 16));
         // Only non-negative 32-bit values survive ^ faithfully.
         if (value < 0 || value > 0x7fffffff) {
           Node* sum = ast.make(NodeKind::kBinaryExpression);
           sum->str_value = "+";
-          sum->kids = {ast.make_number(static_cast<double>(value - 1)),
-                       ast.make_number(1.0)};
+          ast.set_kids(sum, {ast.make_number(static_cast<double>(value - 1)),
+                             ast.make_number(1.0)});
           replacement = sum;
           break;
         }
         // mask ^ (mask ^ n) == n.
-        inner->kids = {mask_literal,
-                       ast.make_number(static_cast<double>(mask ^ value))};
+        ast.set_kids(inner,
+                     {mask_literal,
+                      ast.make_number(static_cast<double>(mask ^ value))});
         replacement = inner;
         break;
       }

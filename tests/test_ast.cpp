@@ -40,7 +40,7 @@ TEST(Ast, FactoryHelpers) {
 
   Node* regex = ast.make_regex("a+", "gi");
   EXPECT_EQ(regex->lit_kind, LiteralKind::kRegExp);
-  EXPECT_EQ(regex->raw, "gi");
+  EXPECT_EQ(regex->str_value, "a+/gi");
 
   EXPECT_EQ(ast.allocated(), 6u);
 }
@@ -81,7 +81,7 @@ TEST(Ast, FinalizeCountsReachableOnly) {
   Ast ast;
   Node* root = ast.make(NodeKind::kProgram);
   Node* statement = ast.make(NodeKind::kEmptyStatement);
-  root->kids.push_back(statement);
+  ast.push_kid(root, statement);
   ast.make(NodeKind::kEmptyStatement);  // detached
   ast.set_root(root);
   EXPECT_EQ(ast.finalize(), 2u);

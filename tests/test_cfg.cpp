@@ -361,7 +361,7 @@ TEST(ReachPruning, DeadCodeInjectionThenRefinalize) {
           ast, "if (false) { var dead = total ? step(1) : [] + []; }"));
       rebuilt.push_back(statement);
     }
-    container->kids.assign(rebuilt.begin(), rebuilt.end());
+    ast.assign_kids(container, rebuilt.begin(), rebuilt.end());
   }
   ast.finalize();
   EXPECT_EQ(mismatch(ast), "");
@@ -384,8 +384,9 @@ TEST(ReachPruning, FlatteningThenRefinalize) {
   for (std::size_t i = 0; i < statements.size(); ++i) {
     switch_statement->kids[i + 1]->kids[1] = statements[i];
   }
-  ast.root()->kids.assign(
-      {clone_statement(ast, "var order = [0, 1, 2, 3, 4], k = 0;"), loop});
+  ast.set_kids(ast.root(),
+               {clone_statement(ast, "var order = [0, 1, 2, 3, 4], k = 0;"),
+                loop});
   ast.finalize();
   EXPECT_EQ(mismatch(ast), "");
 }

@@ -207,8 +207,9 @@ TEST(Codegen, GeneratedSubtreePrinting) {
   Ast ast;
   Node* call = ast.make(NodeKind::kCallExpression);
   Node* member = ast.make(NodeKind::kMemberExpression);
-  member->kids = {ast.make_identifier("console"), ast.make_identifier("log")};
-  call->kids = {member, ast.make_string("hi"), ast.make_number(3.0)};
+  ast.set_kids(member,
+               {ast.make_identifier("console"), ast.make_identifier("log")});
+  ast.set_kids(call, {member, ast.make_string("hi"), ast.make_number(3.0)});
   ast.set_root(call);
   ast.finalize();
   EXPECT_EQ(to_minified_source(call), "console.log(\"hi\",3)");

@@ -10,8 +10,11 @@
 //    stable across finalize(); clone() into a fresh Ast deep-copies
 //    string payloads (survives the source arena's reset).
 //  * Allocation-free steady state: after warm-up, repeated pooled parses
-//    grow neither the arena's peak nor its capacity, and the
-//    jst_arena_* metrics report reuse.
+//    grow neither the arena's peak nor its capacity nor the token
+//    buffer, and the jst_arena_* metrics report reuse.
+//  * Per-lane footprint: a JSFuck flood leaves a bounded number of
+//    scratch bytes per source byte, and a moved unpooled ParseResult
+//    keeps its tokens.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -23,6 +26,7 @@
 #include "analysis/pipeline.h"
 #include "analysis/service.h"
 #include "analysis/wild.h"
+#include "hostile_inputs.h"
 #include "ast/ast_json.h"
 #include "ast/walk.h"
 #include "obs/metrics.h"
@@ -208,6 +212,7 @@ TEST(FrontendArena, SteadyStateStopsGrowingAndReportsReuse) {
   }
   const std::size_t warm_peak = scratch.arena.peak_bytes();
   const std::size_t warm_capacity = scratch.arena.capacity_bytes();
+  const std::size_t warm_tokens = scratch.tokens.capacity();
   EXPECT_GT(warm_peak, 0u);
 
   // Steady state: two more passes reuse the warmed chunks — no growth in
@@ -220,11 +225,69 @@ TEST(FrontendArena, SteadyStateStopsGrowingAndReportsReuse) {
   }
   EXPECT_EQ(scratch.arena.peak_bytes(), warm_peak);
   EXPECT_EQ(scratch.arena.capacity_bytes(), warm_capacity);
+  EXPECT_EQ(scratch.tokens.capacity(), warm_tokens);
 
   // Every script after the first reused the pooled arena, and the reuse
   // counter and peak gauge observed it.
   EXPECT_GE(reuses.value() - reuses_before, 3 * corpus.size() - 1);
   EXPECT_GE(peak.value(), static_cast<double>(warm_peak));
+}
+
+// --- per-lane footprint ------------------------------------------------------
+
+// JSFuck-style input is one token per source byte and about one node per
+// two bytes, so it sets how much a lane keeps resident. One pooled
+// ScriptScratch runs a 256 KiB flood through the whole analysis path;
+// everything the lane then holds — arena chunks, the token buffer, and
+// the feature and inference scratch — must stay under a fixed number of
+// bytes per source byte. Measured: 101.0 with 32-byte tokens in a pooled
+// vector and 64-byte nodes (199.0 when the tokens grew inside the arena
+// and nodes took 104 bytes).
+constexpr double kMaxScratchBytesPerSourceByte = 116.0;
+
+TEST(FrontendMemory, JsfuckFloodScratchStaysUnderBound) {
+  const analysis::TransformationAnalyzer& analyzer = shared_analyzer();
+  const std::string flood = hostile::jsfuck_flood(256 * 1024, 0x1ea5);
+  analysis::ScriptScratch scratch;
+  const analysis::ScriptOutcome outcome =
+      analyzer.analyze_outcome(flood, ResourceLimits{}, scratch);
+  ASSERT_FALSE(outcome.parse_failed()) << outcome.error_message;
+  const std::size_t capacity = scratch.capacity_bytes();
+  const double per_byte =
+      static_cast<double>(capacity) / static_cast<double>(flood.size());
+  EXPECT_LT(per_byte, kMaxScratchBytesPerSourceByte)
+      << capacity << " scratch bytes for " << flood.size() << " source bytes";
+
+  // A second flood of the same size fits in what the first one left.
+  const std::string second = hostile::jsfuck_flood(256 * 1024, 0x2ea5);
+  (void)analyzer.analyze_outcome(second, ResourceLimits{}, scratch);
+  EXPECT_EQ(scratch.capacity_bytes(), capacity);
+}
+
+TEST(FrontendTokens, MovedUnpooledResultKeepsTokens) {
+  // The unpooled result owns its token storage; moving the result must
+  // carry the stream along with it (the span stays valid under ASan).
+  const std::string source =
+      "var s = \"\\x41bc\", n = 0x2A; function f(a) { return a / 2; }\n"
+      "f(n)[`t${s}`] = /re+/g;";
+  ParseResult original = parse_program(source);
+  std::vector<std::string> raws;
+  std::vector<std::uint32_t> lines;
+  for (const Token& token : original.tokens) {
+    raws.emplace_back(token.raw);
+    lines.push_back(token.line);
+  }
+  ASSERT_GT(raws.size(), 20u);
+
+  ParseResult moved = std::move(original);
+  ParseResult assigned = parse_program("x;");
+  assigned = std::move(moved);
+  ASSERT_EQ(assigned.tokens.size(), raws.size());
+  for (std::size_t i = 0; i < raws.size(); ++i) {
+    EXPECT_EQ(assigned.tokens[i].raw, raws[i]) << "token " << i;
+    EXPECT_EQ(assigned.tokens[i].line, lines[i]) << "token " << i;
+  }
+  EXPECT_EQ(assigned.token_stats.count, raws.size());
 }
 
 TEST(FrontendArena, ArenaMetricsExportedAtZero) {
