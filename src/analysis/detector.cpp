@@ -110,6 +110,13 @@ std::vector<transform::Technique> Level2Detector::predict_techniques(
   return techniques_from_indices(scratch.picked);
 }
 
+std::vector<transform::Technique> Level2Detector::techniques_from_confidence(
+    std::span<const double> confidence, ml::PredictScratch& scratch) {
+  ml::topk_thresholded(confidence, kLevel2TopK, kLevel2Threshold,
+                       scratch.order, scratch.picked);
+  return techniques_from_indices(scratch.picked);
+}
+
 std::vector<transform::Technique> Level2Detector::predict_techniques(
     std::span<const float> row) const {
   return predict_techniques(row, thread_scratch());

@@ -90,6 +90,10 @@ class Level2Detector {
       std::span<const float> row) const;
   std::vector<transform::Technique> predict_techniques(
       std::span<const float> row, ml::PredictScratch& scratch) const;
+  // The same rule over confidences predict_proba already returned, so a
+  // caller that keeps them runs the forests once.
+  static std::vector<transform::Technique> techniques_from_confidence(
+      std::span<const double> confidence, ml::PredictScratch& scratch);
   std::vector<transform::Technique> predict_topk(std::span<const float> row,
                                                  std::size_t k) const;
 

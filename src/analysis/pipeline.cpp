@@ -563,8 +563,8 @@ ScriptOutcome TransformationAnalyzer::analyze_outcome(
     level2_.predict_proba(*row, scratch.predict,
                           outcome.report.technique_confidence);
     if (outcome.report.level1.transformed()) {
-      outcome.report.techniques =
-          level2_.predict_techniques(*row, scratch.predict);
+      outcome.report.techniques = Level2Detector::techniques_from_confidence(
+          outcome.report.technique_confidence, scratch.predict);
     }
   }
   outcome.timing.inference_ms = ms_since(inference_start);

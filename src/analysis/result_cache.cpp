@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "analysis/wire.h"
@@ -132,6 +133,15 @@ bool header_matches(const support::JsonValue& document, std::string* why) {
   return true;
 }
 
+// Context word of a text key that is not in make_key's form ("fnvtext_").
+constexpr std::uint64_t kTextKeyTag = 0x666e76746578745fULL;
+
+double ms_since(std::chrono::steady_clock::time_point started) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - started)
+      .count();
+}
+
 bool write_all_fd(int fd, std::string_view data) {
   while (!data.empty()) {
     const ssize_t n = ::write(fd, data.data(), data.size());
@@ -144,20 +154,40 @@ bool write_all_fd(int fd, std::string_view data) {
   return true;
 }
 
-}  // namespace
-
-std::string limits_fingerprint(const ResourceLimits& limits) {
+// FNV-1a 64 of the six ceilings' canonical text.
+std::uint64_t limits_digest(const ResourceLimits& limits) {
   char canonical[160];
   const int length = std::snprintf(
       canonical, sizeof(canonical), "%zu|%zu|%zu|%zu|%zu|%.17g",
       limits.max_source_bytes, limits.max_tokens, limits.max_ast_nodes,
       limits.max_ast_depth, limits.max_dataflow_edges, limits.deadline_ms);
-  char hex[17];
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(strings::fnv1a(
-                    std::string_view(canonical,
-                                     static_cast<std::size_t>(length)))));
-  return std::string(hex, 16);
+  return strings::fnv1a(
+      std::string_view(canonical, static_cast<std::size_t>(length)));
+}
+
+// Appends key_context's text: model|limits|vN.
+void append_key_context(std::string& out, std::string_view model_fingerprint,
+                        const ResourceLimits& limits) {
+  out.append(model_fingerprint);
+  out.push_back('|');
+  out.append(content_hash_hex(limits_digest(limits)));
+  out.append("|v");
+  out.append(std::to_string(wire::kWireFormatVersion));
+}
+
+}  // namespace
+
+std::string limits_fingerprint(const ResourceLimits& limits) {
+  return content_hash_hex(limits_digest(limits));
+}
+
+CacheKey cache_key_of(std::string_view text_key) {
+  std::uint64_t content = 0;
+  if (text_key.size() > 16 && text_key[16] == '|' &&
+      parse_content_hash(text_key.substr(0, 16), content)) {
+    return {content, strings::fnv1a(text_key.substr(17))};
+  }
+  return {strings::fnv1a(text_key), kTextKeyTag};
 }
 
 std::optional<ScriptOutcome> parse_script_outcome(
@@ -276,15 +306,19 @@ std::string ResultCache::make_key(std::string_view content_hash,
                                   std::string_view model_fingerprint,
                                   const ResourceLimits& limits) {
   std::string key;
-  key.reserve(content_hash.size() + model_fingerprint.size() + 16 + 8);
+  key.reserve(content_hash.size() + model_fingerprint.size() + 24);
   key.append(content_hash);
   key.push_back('|');
-  key.append(model_fingerprint);
-  key.push_back('|');
-  key.append(limits_fingerprint(limits));
-  key.append("|v");
-  key.append(std::to_string(wire::kWireFormatVersion));
+  append_key_context(key, model_fingerprint, limits);
   return key;
+}
+
+std::string ResultCache::key_context(std::string_view model_fingerprint,
+                                     const ResourceLimits& limits) {
+  std::string context;
+  context.reserve(model_fingerprint.size() + 24);
+  append_key_context(context, model_fingerprint, limits);
+  return context;
 }
 
 ResultCache::ResultCache(Config config) : config_(std::move(config)) {
@@ -385,10 +419,15 @@ void ResultCache::load_locked() {
       truncate_at_offset = true;
       break;
     }
-    disk_index_[key->as_string()] = DiskRecord{offset, line_length};
+    const CacheKey id = cache_key_of(key->as_string());
+    disk_index_[id] = DiskRecord{offset, line_length};
     // Warm the memory tier in file order: the newest appends land at the
-    // front of the LRU and survive the byte budget longest.
-    insert_memory_locked(key->as_string(), *outcome, line.size());
+    // front of the LRU and survive the byte budget longest. Nothing else
+    // holds these outcomes yet, so displaced ones may die under the lock.
+    Lru dropped;
+    insert_memory_locked(
+        id, std::make_shared<const ScriptOutcome>(*std::move(outcome)),
+        line.size(), dropped);
     offset += line_length;
   }
   if (truncate_at_offset) {
@@ -403,106 +442,136 @@ void ResultCache::load_locked() {
   counters_.disk_records = disk_index_.size();
 }
 
-void ResultCache::insert_memory_locked(const std::string& key,
-                                       const ScriptOutcome& outcome,
-                                       std::size_t outcome_bytes) {
+void ResultCache::insert_memory_locked(
+    const CacheKey& key, std::shared_ptr<const ScriptOutcome> outcome,
+    std::size_t outcome_bytes, Lru& dropped) {
   const auto existing = index_.find(key);
   if (existing != index_.end()) {
     memory_bytes_ -= existing->second->bytes;
-    lru_.erase(existing->second);
+    dropped.splice(dropped.end(), lru_, existing->second);
     index_.erase(existing);
   }
-  const std::size_t entry_bytes = key.size() + outcome_bytes;
+  const std::size_t entry_bytes = sizeof(CacheKey) + outcome_bytes;
   if (entry_bytes > config_.max_bytes) return;  // never fits; disk only
   while (!lru_.empty() && memory_bytes_ + entry_bytes > config_.max_bytes) {
     memory_bytes_ -= lru_.back().bytes;
     index_.erase(lru_.back().key);
-    lru_.pop_back();
+    dropped.splice(dropped.end(), lru_, std::prev(lru_.end()));
     ++counters_.evictions;
     cache_metrics().evictions.add(1);
   }
-  lru_.emplace_front(MemoryEntry{key, outcome, entry_bytes});
+  lru_.push_front(MemoryEntry{key, std::move(outcome), entry_bytes});
   memory_bytes_ += entry_bytes;
   index_.emplace(key, lru_.begin());
 }
 
-bool ResultCache::read_disk_locked(const std::string& key,
-                                   ScriptOutcome& outcome) {
-  const auto it = disk_index_.find(key);
-  if (it == disk_index_.end() || fd_ < 0) return false;
-  std::string line(it->second.length, '\0');
+std::optional<ScriptOutcome> ResultCache::read_record(
+    const DiskRecord& record) const {
+  std::string line(record.length, '\0');
   const ssize_t n = ::pread(fd_, line.data(), line.size(),
-                            static_cast<off_t>(it->second.offset));
-  if (n != static_cast<ssize_t>(line.size())) return false;
+                            static_cast<off_t>(record.offset));
+  if (n != static_cast<ssize_t>(line.size())) return std::nullopt;
   std::optional<support::JsonValue> document = support::parse_json(
       std::string_view(line.data(), line.size() - 1));  // strip newline
-  if (!document.has_value()) return false;
+  if (!document.has_value()) return std::nullopt;
   const support::JsonValue* outcome_value = document->find("outcome");
-  if (outcome_value == nullptr) return false;
-  std::optional<ScriptOutcome> parsed = parse_script_outcome(*outcome_value);
-  if (!parsed.has_value()) return false;
-  outcome = *std::move(parsed);
+  if (outcome_value == nullptr) return std::nullopt;
+  return parse_script_outcome(*outcome_value);
+}
+
+bool ResultCache::lookup(const CacheKey& key, ScriptOutcome& outcome) {
+  std::shared_ptr<const ScriptOutcome> resident;
+  DiskRecord record;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = index_.find(key);
+    if (it != index_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      ++counters_.hits;
+      resident = it->second->outcome;
+    } else {
+      const auto disk = disk_index_.find(key);
+      if (disk == disk_index_.end()) {
+        ++counters_.misses;
+        cache_metrics().misses.add(1);
+        return false;
+      }
+      record = disk->second;
+    }
+  }
+  if (resident == nullptr) {
+    // Disk tier: the record is read and parsed unlocked (the file is
+    // append-only, so its bytes at `record` never change), then promoted
+    // unless a refresh appended a newer record or another lookup already
+    // promoted it meanwhile.
+    std::optional<ScriptOutcome> parsed = read_record(record);
+    Lru dropped;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!parsed.has_value()) {
+      ++counters_.misses;
+      cache_metrics().misses.add(1);
+      return false;
+    }
+    resident = std::make_shared<const ScriptOutcome>(*std::move(parsed));
+    ++counters_.hits;
+    const auto disk = disk_index_.find(key);
+    if (disk != disk_index_.end() && disk->second.offset == record.offset &&
+        !index_.contains(key)) {
+      insert_memory_locked(key, resident,
+                           static_cast<std::size_t>(record.length), dropped);
+    }
+  }
+  cache_metrics().hits.add(1);
+  outcome = *resident;
   return true;
 }
 
 std::optional<ScriptOutcome> ResultCache::lookup(const std::string& key) {
   const auto started = std::chrono::steady_clock::now();
-  const auto hit_latency = [&] {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - started)
-        .count();
-  };
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    ++counters_.hits;
-    cache_metrics().hits.add(1);
-    cache_metrics().hit_ms.record(hit_latency());
-    return it->second->outcome;
-  }
   ScriptOutcome outcome;
-  if (read_disk_locked(key, outcome)) {
-    const auto record = disk_index_.find(key);
-    insert_memory_locked(key, outcome,
-                         static_cast<std::size_t>(record->second.length));
-    ++counters_.hits;
-    cache_metrics().hits.add(1);
-    cache_metrics().hit_ms.record(hit_latency());
-    return outcome;
-  }
-  ++counters_.misses;
-  cache_metrics().misses.add(1);
-  return std::nullopt;
+  if (!lookup(cache_key_of(key), outcome)) return std::nullopt;
+  record_hit_ms(ms_since(started));
+  return outcome;
+}
+
+void ResultCache::record_hit_ms(double ms) {
+  cache_metrics().hit_ms.record(ms);
 }
 
 bool ResultCache::contains(const std::string& key) const {
+  return contains(cache_key_of(key));
+}
+
+bool ResultCache::contains(const CacheKey& key) const {
   std::lock_guard<std::mutex> lock(mutex_);
   return index_.contains(key) || disk_index_.contains(key);
 }
 
 void ResultCache::store(const std::string& key, const ScriptOutcome& outcome) {
   if (!cacheable(outcome)) return;
+  const CacheKey id = cache_key_of(key);
   const std::string outcome_json =
       wire::script_outcome_json(outcome, OutputDetail::kFull);
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::string line;
   if (fd_ >= 0) {
-    if (!append_locked(key, outcome_json)) return;
+    JsonWriter writer;
+    writer.begin_object();
+    writer.key("key"); writer.value(key);
+    writer.key("outcome"); writer.raw(outcome_json);
+    writer.end_object();
+    line = writer.str();
+    line.push_back('\n');
   }
-  insert_memory_locked(key, outcome, outcome_json.size());
+  auto shared = std::make_shared<const ScriptOutcome>(outcome);
+  Lru dropped;
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (fd_ >= 0 && !append_locked(id, line)) return;
+  insert_memory_locked(id, std::move(shared), outcome_json.size(), dropped);
   ++counters_.stores;
   cache_metrics().stores.add(1);
 }
 
-bool ResultCache::append_locked(const std::string& key,
-                                const std::string& outcome_json) {
-  JsonWriter writer;
-  writer.begin_object();
-  writer.key("key"); writer.value(key);
-  writer.key("outcome"); writer.raw(outcome_json);
-  writer.end_object();
-  std::string line = writer.str();
-  line.push_back('\n');
+bool ResultCache::append_locked(const CacheKey& key, std::string_view line) {
   const off_t end = ::lseek(fd_, 0, SEEK_END);
   if (end < 0 || !write_all_fd(fd_, line)) {
     // A failed append may have torn the tail; the next load truncates it.

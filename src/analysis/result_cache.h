@@ -21,6 +21,13 @@
 // the first corrupt record truncates the file back to the last good
 // byte, which is exactly the state an interrupted append leaves behind.
 //
+// Both tiers are indexed by a fixed 16-byte CacheKey; a text key (the
+// make_key spelling, which the record file stores) is another spelling of
+// the same key through cache_key_of. The mutex covers only finding,
+// linking and unlinking entries: outcomes are held as shared immutable
+// objects and copied after unlocking, and record lines are encoded and
+// disk records parsed outside the lock.
+//
 // Staleness policy lives in the caller (AnalyzerService): only settled
 // outcomes — never degraded or budget/deadline-tripped ones — are
 // stored, and CacheMode::kRefresh overwrites via a fresh append (last
@@ -29,6 +36,7 @@
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -46,6 +54,32 @@ namespace jst::analysis {
 // different governance can legitimately produce different outcomes
 // (ineligible_size vs ok, budget trips), so limits isolate entries.
 std::string limits_fingerprint(const ResourceLimits& limits);
+
+// The cache's fixed 16-byte key: the FNV-1a 64 digest of the source and
+// one 64-bit word standing for everything else an outcome depends on
+// (model fingerprint, limits fingerprint, wire version).
+struct CacheKey {
+  std::uint64_t content = 0;
+  std::uint64_t context = 0;
+
+  bool operator==(const CacheKey&) const = default;
+};
+
+struct CacheKeyHash {
+  std::size_t operator()(const CacheKey& key) const {
+    // Both words are already FNV-1a digests; one multiply mixes them.
+    return static_cast<std::size_t>(key.content ^
+                                    (key.context * 0x9e3779b97f4a7c15ULL));
+  }
+};
+
+// The one derivation from a text key to a CacheKey, used by the text API
+// and the record loader alike. "<16 lowercase hex>|rest" (make_key's
+// form) maps to {that hex value, FNV-1a of rest}; any other string maps
+// to {FNV-1a of the whole string, a fixed tag}. So the key a service
+// builds from a source digest and fnv1a(key_context(...)) equals
+// cache_key_of(make_key(...)) for the same triple.
+CacheKey cache_key_of(std::string_view text_key);
 
 // Reconstructs a ScriptOutcome from its wire::write_script_outcome JSON
 // (kFull detail). Returns std::nullopt on unknown status/technique names
@@ -94,12 +128,27 @@ class ResultCache {
                               std::string_view model_fingerprint,
                               const ResourceLimits& limits);
 
+  // make_key's text after the content hash and its '|': what the context
+  // word of a CacheKey is the FNV-1a digest of.
+  static std::string key_context(std::string_view model_fingerprint,
+                                 const ResourceLimits& limits);
+
   // Memory tier first, then the record file (promoting into memory).
-  // Counts a hit or a miss either way.
+  // Counts a hit or a miss either way, and times a hit into
+  // jst_cache_hit_ms.
   std::optional<ScriptOutcome> lookup(const std::string& key);
+
+  // The same lookup by CacheKey, copying a hit into `outcome` after the
+  // lock is released. Counts a hit or a miss but records no hit latency:
+  // the caller times the whole hit and reports it via record_hit_ms.
+  bool lookup(const CacheKey& key, ScriptOutcome& outcome);
+
+  // One jst_cache_hit_ms sample.
+  void record_hit_ms(double ms);
 
   // True when the key resolves in either tier; no promotion, no counter.
   bool contains(const std::string& key) const;
+  bool contains(const CacheKey& key) const;
 
   // Appends the outcome under `key` (overwriting any previous entry —
   // last record wins on reload). Callers gate on cacheable(); store()
@@ -139,17 +188,22 @@ class ResultCache {
     std::uint64_t length = 0;  // line length including the newline
   };
   struct MemoryEntry {
-    std::string key;
-    ScriptOutcome outcome;
+    CacheKey key;
+    // Shared so a hit can copy it after unlocking while an eviction
+    // drops the entry.
+    std::shared_ptr<const ScriptOutcome> outcome;
     std::size_t bytes = 0;  // key + serialized-outcome footprint estimate
   };
+  using Lru = std::list<MemoryEntry>;
 
   void load_locked();
-  void insert_memory_locked(const std::string& key,
-                            const ScriptOutcome& outcome,
-                            std::size_t outcome_bytes);
-  bool read_disk_locked(const std::string& key, ScriptOutcome& outcome);
-  bool append_locked(const std::string& key, const std::string& outcome_json);
+  // Links the outcome at the LRU front, moving displaced and evicted
+  // entries into `dropped` so their outcomes are freed after unlocking.
+  void insert_memory_locked(const CacheKey& key,
+                            std::shared_ptr<const ScriptOutcome> outcome,
+                            std::size_t outcome_bytes, Lru& dropped);
+  std::optional<ScriptOutcome> read_record(const DiskRecord& record) const;
+  bool append_locked(const CacheKey& key, std::string_view line);
 
   Config config_;
   std::string path_;
@@ -157,9 +211,9 @@ class ResultCache {
   int fd_ = -1;  // O_APPEND record file; -1 for memory-only caches
 
   mutable std::mutex mutex_;
-  std::list<MemoryEntry> lru_;  // front = most recently used
-  std::unordered_map<std::string, std::list<MemoryEntry>::iterator> index_;
-  std::unordered_map<std::string, DiskRecord> disk_index_;
+  Lru lru_;  // front = most recently used
+  std::unordered_map<CacheKey, Lru::iterator, CacheKeyHash> index_;
+  std::unordered_map<CacheKey, DiskRecord, CacheKeyHash> disk_index_;
   std::size_t memory_bytes_ = 0;
   Counters counters_;
 };

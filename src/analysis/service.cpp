@@ -1,10 +1,11 @@
 #include "analysis/service.h"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cassert>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -89,7 +90,33 @@ BatchStats aggregate_stats(std::span<const AnalyzeResponse> responses,
   return stats;
 }
 
+double ms_since(std::chrono::steady_clock::time_point started) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - started)
+      .count();
+}
+
+// Bitwise equality, so limits that print differently in
+// limits_fingerprint (0.0 and -0.0 deadlines) never share a memo entry.
+bool same_limits(const ResourceLimits& a, const ResourceLimits& b) {
+  return a.max_source_bytes == b.max_source_bytes &&
+         a.max_tokens == b.max_tokens && a.max_ast_nodes == b.max_ast_nodes &&
+         a.max_ast_depth == b.max_ast_depth &&
+         a.max_dataflow_edges == b.max_dataflow_edges &&
+         std::bit_cast<std::uint64_t>(a.deadline_ms) ==
+             std::bit_cast<std::uint64_t>(b.deadline_ms);
+}
+
+std::atomic<std::uint64_t> next_service_id{1};
+
 }  // namespace
+
+struct AnalyzerService::CacheContext {
+  std::uint64_t service_id = 0;  // 0 = empty; service ids start at 1
+  ResourceLimits limits;
+  std::string text;        // ResultCache::key_context(model, limits)
+  std::uint64_t word = 0;  // FNV-1a of text: CacheKey::context
+};
 
 std::string_view to_string(OutputDetail detail) {
   switch (detail) {
@@ -123,10 +150,28 @@ std::string_view to_string(CacheState state) {
 }
 
 std::string content_hash(std::string_view source) {
-  char hex[17];
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(strings::fnv1a(source)));
-  return std::string(hex, 16);
+  return content_hash_hex(strings::fnv1a(source));
+}
+
+std::string content_hash_hex(std::uint64_t digest) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex(16, '0');
+  for (int i = 15; i >= 0; --i, digest >>= 4) hex[i] = kDigits[digest & 0xf];
+  return hex;
+}
+
+bool parse_content_hash(std::string_view hex, std::uint64_t& digest) {
+  if (hex.size() != 16) return false;
+  std::uint64_t value = 0;
+  for (const char c : hex) {
+    int nibble = 0;
+    if (c >= '0' && c <= '9') nibble = c - '0';
+    else if (c >= 'a' && c <= 'f') nibble = c - 'a' + 10;
+    else return false;
+    value = (value << 4) | static_cast<std::uint64_t>(nibble);
+  }
+  digest = value;
+  return true;
 }
 
 AnalyzeRequest AnalyzeRequest::for_source(std::string source, std::string id) {
@@ -167,7 +212,9 @@ std::string BatchStats::to_json() const {
 
 AnalyzerService::AnalyzerService(const TransformationAnalyzer& analyzer,
                                  ResultCache* cache)
-    : analyzer_(&analyzer), cache_(cache) {
+    : analyzer_(&analyzer),
+      cache_(cache),
+      id_(next_service_id.fetch_add(1, std::memory_order_relaxed)) {
   if (!analyzer.trained()) {
     throw ModelError("AnalyzerService: analyzer is not trained");
   }
@@ -180,9 +227,21 @@ AnalyzerService::AnalyzerService(const TransformationAnalyzer& analyzer,
   }
 }
 
+const AnalyzerService::CacheContext& AnalyzerService::cache_context(
+    const ResourceLimits& limits) const {
+  static thread_local CacheContext memo;
+  if (memo.service_id != id_ || !same_limits(memo.limits, limits)) {
+    memo.service_id = id_;
+    memo.limits = limits;
+    memo.text = ResultCache::key_context(model_fingerprint_, limits);
+    memo.word = strings::fnv1a(memo.text);
+  }
+  return memo;
+}
+
 AnalyzeResponse AnalyzerService::analyze_with_scratch(
     const AnalyzeRequest& request, const ResourceLimits& default_limits,
-    ScriptScratch& scratch) const {
+    std::uint64_t source_digest, ScriptScratch& scratch) const {
   // Install the request's trace-correlation id for everything below —
   // validation included, so even a rejection's spans are attributable.
   obs::RequestScope request_scope(request.request_id);
@@ -206,7 +265,7 @@ AnalyzeResponse AnalyzerService::analyze_with_scratch(
     }
     return response;
   }
-  response.source_hash = content_hash(request.source);
+  response.source_hash = content_hash_hex(source_digest);
   if (!request.source_hash.empty() &&
       request.source_hash != response.source_hash) {
     response.status = ResponseStatus::kInvalidRequest;
@@ -220,43 +279,37 @@ AnalyzeResponse AnalyzerService::analyze_with_scratch(
   // Cache consult (DESIGN.md §15). The key covers everything the outcome
   // is a function of — content, model, limits, wire schema — so a hit is
   // bit-identical to recomputation and the pipeline is skipped outright.
-  std::string cache_key;
+  // One clock pair times the whole consult: on a hit, its reading is both
+  // cache_lookup_ms (and so service_ms) and the jst_cache_hit_ms sample.
   bool store_after_analysis = false;
   if (cache_ != nullptr) {
     const auto lookup_started = std::chrono::steady_clock::now();
-    const auto lookup_ms = [&] {
-      return std::chrono::duration<double, std::milli>(
-                 std::chrono::steady_clock::now() - lookup_started)
-          .count();
-    };
     switch (request.cache_mode) {
       case CacheMode::kBypass:
         cache_->note_bypass();
         response.cache = CacheState::kBypass;
         break;
-      case CacheMode::kRefresh:
-        cache_key = ResultCache::make_key(response.source_hash,
-                                          model_fingerprint_, limits);
-        response.cache =
-            cache_->contains(cache_key) ? CacheState::kStale
-                                        : CacheState::kMiss;
-        response.cache_lookup_ms = lookup_ms();
+      case CacheMode::kRefresh: {
+        const CacheKey key{source_digest, cache_context(limits).word};
+        response.cache = cache_->contains(key) ? CacheState::kStale
+                                               : CacheState::kMiss;
+        response.cache_lookup_ms = ms_since(lookup_started);
         store_after_analysis = true;
         break;
+      }
       case CacheMode::kDefault: {
-        cache_key = ResultCache::make_key(response.source_hash,
-                                          model_fingerprint_, limits);
-        std::optional<ScriptOutcome> cached = cache_->lookup(cache_key);
-        response.cache_lookup_ms = lookup_ms();
-        if (cached.has_value()) {
+        const CacheKey key{source_digest, cache_context(limits).word};
+        if (cache_->lookup(key, response.outcome)) {
           // The cached outcome carries the original analysis timings;
           // the actual serving cost of this hit is the lookup alone.
-          response.outcome = *std::move(cached);
+          response.cache_lookup_ms = ms_since(lookup_started);
+          cache_->record_hit_ms(response.cache_lookup_ms);
           response.status = ResponseStatus::kOk;
           response.cache = CacheState::kHit;
           response.service_ms = response.cache_lookup_ms;
           return response;
         }
+        response.cache_lookup_ms = ms_since(lookup_started);
         response.cache = CacheState::kMiss;
         store_after_analysis = true;
         break;
@@ -269,18 +322,28 @@ AnalyzeResponse AnalyzerService::analyze_with_scratch(
   response.status = ResponseStatus::kOk;
   response.service_ms = response.outcome.timing.total_ms;
   if (store_after_analysis) {
-    // store() drops uncacheable (degraded / budget-tripped) outcomes.
-    cache_->store(cache_key, response.outcome);
+    // The record file keeps make_key's text spelling of the key. store()
+    // drops uncacheable (degraded / budget-tripped) outcomes.
+    cache_->store(response.source_hash + '|' + cache_context(limits).text,
+                  response.outcome);
   }
   return response;
 }
 
 AnalyzeResponse AnalyzerService::analyze(
     const AnalyzeRequest& request, const ResourceLimits& default_limits) const {
+  return analyze(request, default_limits,
+                 request.has_source ? strings::fnv1a(request.source) : 0);
+}
+
+AnalyzeResponse AnalyzerService::analyze(const AnalyzeRequest& request,
+                                         const ResourceLimits& default_limits,
+                                         std::uint64_t source_digest) const {
   // Per-thread scratch, shared with every other single-request call this
   // thread makes (same reuse discipline as the batch workers).
   static thread_local ScriptScratch scratch;
-  return analyze_with_scratch(request, default_limits, scratch);
+  return analyze_with_scratch(request, default_limits, source_digest,
+                              scratch);
 }
 
 BatchResponse AnalyzerService::analyze_batch(
@@ -297,8 +360,10 @@ BatchResponse AnalyzerService::analyze_batch(
     // analyzes (in this batch and all later ones): feature extraction and
     // inference run allocation-free once the buffers have warmed up.
     static thread_local ScriptScratch scratch;
-    result.responses[i] =
-        analyze_with_scratch(requests[i], options.limits, scratch);
+    const AnalyzeRequest& request = requests[i];
+    result.responses[i] = analyze_with_scratch(
+        request, options.limits,
+        request.has_source ? strings::fnv1a(request.source) : 0, scratch);
   });
   const double wall_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - start)

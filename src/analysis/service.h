@@ -247,6 +247,13 @@ class AnalyzerService {
   AnalyzeResponse analyze(const AnalyzeRequest& request,
                           const ResourceLimits& default_limits = {}) const;
 
+  // The same, for a caller that has already hashed request.source:
+  // `source_digest` must be strings::fnv1a(request.source). The daemon
+  // hashes each source once, for its registry and the cache key alike.
+  AnalyzeResponse analyze(const AnalyzeRequest& request,
+                          const ResourceLimits& default_limits,
+                          std::uint64_t source_digest) const;
+
   // Serves every request concurrently over the thread pool; responses are
   // positionally aligned and independent of the thread count. Outcomes are
   // bit-identical to analyze() on each request in isolation.
@@ -263,13 +270,21 @@ class AnalyzerService {
   const std::string& model_fingerprint() const { return model_fingerprint_; }
 
  private:
+  struct CacheContext;
+
   AnalyzeResponse analyze_with_scratch(const AnalyzeRequest& request,
                                        const ResourceLimits& default_limits,
+                                       std::uint64_t source_digest,
                                        ScriptScratch& scratch) const;
+  // The cache-key context for `limits`, computed once per service and
+  // limits set on each thread (a thread-local memo) and then reused, so a
+  // cache hit formats and hashes no text.
+  const CacheContext& cache_context(const ResourceLimits& limits) const;
 
   const TransformationAnalyzer* analyzer_;
   ResultCache* cache_ = nullptr;
   std::string model_fingerprint_;  // computed when a cache is attached
+  std::uint64_t id_ = 0;  // distinct per constructed service; keys the memo
 };
 
 // Content hash used for AnalyzeRequest::source_hash references: FNV-1a 64
@@ -285,5 +300,10 @@ class AnalyzerService {
 // (e.g. truncated SHA-256); the wire field is an opaque hex token, so
 // only kWireFormatVersion needs bumping.
 std::string content_hash(std::string_view source);
+
+// The 16-lowercase-hex spelling of an FNV-1a 64 digest, and its strict
+// inverse (exactly 16 lowercase hex digits; false otherwise).
+std::string content_hash_hex(std::uint64_t digest);
+bool parse_content_hash(std::string_view hex, std::uint64_t& digest);
 
 }  // namespace jst::analysis

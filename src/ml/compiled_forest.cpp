@@ -166,21 +166,38 @@ std::vector<double> CompiledEnsemble::predict_proba(
   return out;
 }
 
-void CompiledEnsemble::rank_labels(PredictScratch& scratch) const {
-  const std::vector<double>& probabilities = scratch.proba;
-  scratch.order.resize(probabilities.size());
-  std::iota(scratch.order.begin(), scratch.order.end(), std::size_t{0});
-  std::stable_sort(scratch.order.begin(), scratch.order.end(),
+namespace {
+
+// Ranks label indices into `order` by probability: stable, descending,
+// ties keep label order.
+void rank_labels(std::span<const double> probabilities,
+                 std::vector<std::size_t>& order) {
+  order.resize(probabilities.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
                      return probabilities[a] > probabilities[b];
                    });
+}
+
+}  // namespace
+
+void topk_thresholded(std::span<const double> probabilities, std::size_t k,
+                      double threshold, std::vector<std::size_t>& order,
+                      std::vector<std::size_t>& out) {
+  rank_labels(probabilities, order);
+  out.clear();
+  for (std::size_t i = 0; i < order.size() && out.size() < k; ++i) {
+    const std::size_t label = order[i];
+    if (probabilities[label] >= threshold) out.push_back(label);
+  }
 }
 
 void CompiledEnsemble::predict_topk(std::span<const float> row, std::size_t k,
                                     PredictScratch& scratch,
                                     std::vector<std::size_t>& out) const {
   predict_proba(row, scratch, scratch.proba);
-  rank_labels(scratch);
+  rank_labels(scratch.proba, scratch.order);
   const std::size_t take = std::min(k, scratch.order.size());
   out.assign(scratch.order.begin(),
              scratch.order.begin() + static_cast<std::ptrdiff_t>(take));
@@ -190,12 +207,7 @@ void CompiledEnsemble::predict_topk_thresholded(
     std::span<const float> row, std::size_t k, double threshold,
     PredictScratch& scratch, std::vector<std::size_t>& out) const {
   predict_proba(row, scratch, scratch.proba);
-  rank_labels(scratch);
-  out.clear();
-  for (std::size_t i = 0; i < scratch.order.size() && out.size() < k; ++i) {
-    const std::size_t label = scratch.order[i];
-    if (scratch.proba[label] >= threshold) out.push_back(label);
-  }
+  topk_thresholded(scratch.proba, k, threshold, scratch.order, out);
 }
 
 }  // namespace jst::ml

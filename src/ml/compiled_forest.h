@@ -101,6 +101,15 @@ class CompiledForest {
 // predictions appended as features) when the source was a
 // ClassifierChain. The scratch-taking overloads are allocation-free in
 // steady state.
+// Top-k of already computed per-label probabilities, restricted to
+// labels whose probability clears `threshold` (the paper's level-2
+// decision rule): label indices into `out`, most probable first, ranked
+// by a stable descending sort (ties keep label order). `order` is
+// ranking workspace.
+void topk_thresholded(std::span<const double> probabilities, std::size_t k,
+                      double threshold, std::vector<std::size_t>& order,
+                      std::vector<std::size_t>& out);
+
 class CompiledEnsemble {
  public:
   CompiledEnsemble() = default;
@@ -138,10 +147,6 @@ class CompiledEnsemble {
   }
 
  private:
-  // Ranks scratch.proba into scratch.order (stable, descending; ties keep
-  // label order).
-  void rank_labels(PredictScratch& scratch) const;
-
   std::vector<CompiledForest> forests_;
   bool chained_ = false;
   double chain_threshold_ = 0.5;

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -16,6 +17,7 @@
 #include "obs/metrics.h"
 #include "obs/request_context.h"
 #include "support/json_writer.h"
+#include "support/strings.h"
 
 namespace jst::server {
 namespace {
@@ -42,6 +44,18 @@ constexpr std::size_t kWriteTimeoutMs = 10000;
 constexpr std::size_t kWindowWarmMinCount = 16;
 // Slowest-N exemplar table size (distinct source_hash entries kept).
 constexpr std::size_t kSlowExemplars = 8;
+
+// Request-line cap when the default limits set no max_source_bytes.
+constexpr std::size_t kMaxLineBytesUnlimited = std::size_t{64} << 20;
+
+// The request-line cap (DESIGN.md §13): six bytes per source byte, the
+// longest JSON escape (\u00XX), plus 64 KiB for the request envelope.
+std::size_t max_line_bytes(std::size_t max_source_bytes) {
+  constexpr std::size_t kEnvelopeBytes = 64 * 1024;
+  if (max_source_bytes == 0) return kMaxLineBytesUnlimited;
+  if (max_source_bytes > (SIZE_MAX - kEnvelopeBytes) / 6) return SIZE_MAX;
+  return 6 * max_source_bytes + kEnvelopeBytes;
+}
 
 // Daemon telemetry (DESIGN.md §13). One shared instrument family: the
 // registry is process-wide, and a process runs one serving daemon (tests
@@ -160,6 +174,7 @@ Server::Server(const analysis::AnalyzerService& service, ServerConfig config)
     throw std::runtime_error("jstraced-server: socket_path is empty");
   }
   workers_ = support::resolve_threads(config_.workers);
+  max_line_bytes_ = max_line_bytes(config_.default_limits.max_source_bytes);
 
   sockaddr_un address{};
   address.sun_family = AF_UNIX;
@@ -244,6 +259,11 @@ void Server::serve_connection(Connection& connection) {
     for (;;) {
       const std::size_t newline = buffer.find('\n', std::max(start, scanned));
       if (newline == std::string::npos) break;
+      if (newline - start > max_line_bytes_) {
+        reject_oversized_line(connection);
+        open = false;
+        break;
+      }
       std::string line = buffer.substr(start, newline - start);
       start = newline + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
@@ -253,8 +273,15 @@ void Server::serve_connection(Connection& connection) {
         break;
       }
     }
+    if (!open) break;
     buffer.erase(0, start);
     scanned = buffer.size();
+    // An unterminated line already past the cap can only be refused:
+    // stop buffering it instead of growing with whatever the peer sends.
+    if (buffer.size() > max_line_bytes_) {
+      reject_oversized_line(connection);
+      break;
+    }
   }
   // Every admitted request must be answered before the fd can be closed;
   // see the Connection invariant above.
@@ -269,6 +296,18 @@ void Server::serve_connection(Connection& connection) {
     connection.fd = -1;
   }
   connection.done = true;
+}
+
+void Server::reject_oversized_line(Connection& connection) {
+  analysis::AnalyzeResponse response;
+  response.status = analysis::ResponseStatus::kInvalidRequest;
+  response.error = "request line exceeds " + std::to_string(max_line_bytes_) +
+                   " bytes; closing the connection";
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++stats_.requests_invalid;
+  }
+  respond(connection, response);
 }
 
 void Server::handle_line(Connection& connection, const std::string& line) {
@@ -407,12 +446,15 @@ void Server::handle_request(Connection& connection,
   // Inline sources register under their hash on the way in — the hash
   // echoed in the response is immediately usable as a reference. A source
   // the effective limits would refuse anyway (max_source_bytes) is not
-  // worth registry space.
+  // worth registry space. The source is hashed once here; the digest
+  // also keys the service's cache lookup.
+  std::uint64_t source_digest = 0;
   if (request.has_source) {
-    register_source(analysis::content_hash(request.source), request.source,
-                    limits.max_source_bytes);
+    source_digest = strings::fnv1a(request.source);
+    register_source(source_digest, request.source, limits.max_source_bytes);
   } else {
-    if (!resolve_source(request.source_hash, request.source)) {
+    if (!analysis::parse_content_hash(request.source_hash, source_digest) ||
+        !resolve_source(source_digest, request.source)) {
       early.status = analysis::ResponseStatus::kNotFound;
       early.source_hash = request.source_hash;
       early.error = "unknown source_hash '" + request.source_hash + "'";
@@ -480,14 +522,16 @@ void Server::handle_request(Connection& connection,
 
   const auto admitted_at = std::chrono::steady_clock::now();
   Connection* raw = &connection;
-  pool_->submit([this, raw, request = std::move(request), admitted_at,
-                 depth_at_admission]() mutable {
-    process_request(*raw, request, admitted_at, depth_at_admission);
+  pool_->submit([this, raw, request = std::move(request), source_digest,
+                 admitted_at, depth_at_admission]() mutable {
+    process_request(*raw, request, source_digest, admitted_at,
+                    depth_at_admission);
   });
 }
 
 void Server::process_request(
     Connection& connection, const analysis::AnalyzeRequest& request,
+    std::uint64_t source_digest,
     std::chrono::steady_clock::time_point admitted_at,
     std::size_t depth_at_admission) {
   // Re-anchor the request context on the worker lane (submit's capture
@@ -532,9 +576,9 @@ void Server::process_request(
       limits.deadline_ms -= queue_ms;
       analysis::AnalyzeRequest governed = request;
       governed.limits = limits;
-      response = service_->analyze(governed);
+      response = service_->analyze(governed, {}, source_digest);
     } else {
-      response = service_->analyze(request, limits);
+      response = service_->analyze(request, limits, source_digest);
     }
     if (config_.min_service_ms > 0.0) {
       const double remaining = config_.min_service_ms - elapsed_ms(picked_up);
@@ -599,7 +643,7 @@ void Server::write_line(Connection& connection, const std::string& data) {
   }
 }
 
-void Server::register_source(const std::string& hash,
+void Server::register_source(std::uint64_t digest,
                              const std::string& source,
                              std::size_t max_entry_bytes) {
   if (config_.hash_registry_bytes == 0) return;
@@ -609,7 +653,7 @@ void Server::register_source(const std::string& hash,
   if (source.size() > config_.hash_registry_bytes) return;
 
   std::lock_guard<std::mutex> lock(registry_mutex_);
-  const auto it = registry_index_.find(hash);
+  const auto it = registry_index_.find(digest);
   if (it != registry_index_.end()) {
     registry_lru_.splice(registry_lru_.begin(), registry_lru_, it->second);
     return;
@@ -623,14 +667,14 @@ void Server::register_source(const std::string& hash,
     registry_index_.erase(registry_lru_.back().first);
     registry_lru_.pop_back();
   }
-  registry_lru_.emplace_front(hash, source);
+  registry_lru_.emplace_front(digest, source);
   registry_bytes_ += source.size();
-  registry_index_.emplace(hash, registry_lru_.begin());
+  registry_index_.emplace(digest, registry_lru_.begin());
 }
 
-bool Server::resolve_source(const std::string& hash, std::string& source) {
+bool Server::resolve_source(std::uint64_t digest, std::string& source) {
   std::lock_guard<std::mutex> lock(registry_mutex_);
-  const auto it = registry_index_.find(hash);
+  const auto it = registry_index_.find(digest);
   if (it == registry_index_.end()) return false;
   registry_lru_.splice(registry_lru_.begin(), registry_lru_, it->second);
   source = it->second->second;

@@ -169,8 +169,12 @@ class Server {
   void handle_request(Connection& connection, analysis::AnalyzeRequest request);
   void process_request(Connection& connection,
                        const analysis::AnalyzeRequest& request,
+                       std::uint64_t source_digest,
                        std::chrono::steady_clock::time_point admitted_at,
                        std::size_t depth_at_admission);
+  // Answers a request line longer than max_line_bytes_ with
+  // kInvalidRequest; the caller then closes the connection.
+  void reject_oversized_line(Connection& connection);
   void respond(Connection& connection, const analysis::AnalyzeResponse&);
   // Writes one already-framed line under the connection's write_mutex;
   // a failed write (peer gone, or stalled past the 10 s send timeout)
@@ -181,17 +185,22 @@ class Server {
   // config_.flight_dump_path when window-shed crosses the threshold,
   // rate-limited to once per window.
   void maybe_dump_flight_on_shed_burst();
-  // Registers an inline source under its hash (LRU-touching it if already
-  // present), silently skipping sources above `max_entry_bytes` (0 = no
-  // per-entry cap) — registration is best-effort, never an error.
-  void register_source(const std::string& hash, const std::string& source,
+  // Registers an inline source under its FNV-1a 64 digest (LRU-touching
+  // it if already present), silently skipping sources above
+  // `max_entry_bytes` (0 = no per-entry cap) — registration is
+  // best-effort, never an error.
+  void register_source(std::uint64_t digest, const std::string& source,
                        std::size_t max_entry_bytes);
-  // Resolves a hash reference, refreshing the entry's LRU position.
-  bool resolve_source(const std::string& hash, std::string& source);
+  // Resolves a digest, refreshing the entry's LRU position.
+  bool resolve_source(std::uint64_t digest, std::string& source);
 
   const analysis::AnalyzerService* service_;
   ServerConfig config_;
   std::size_t workers_ = 1;
+  // Longest request line a connection may send: 6 × the default limits'
+  // max_source_bytes + 64 KiB, or kMaxLineBytesUnlimited without a source
+  // limit (DESIGN.md §13).
+  std::size_t max_line_bytes_ = 0;
 
   int listen_fd_ = -1;
   std::thread accept_thread_;
@@ -213,14 +222,13 @@ class Server {
   std::vector<std::unique_ptr<Connection>> connections_;
 
   // Content-hash registry: LRU list (front = most recently used) plus a
-  // hash → list-node index, bounded by 4096 entries and
+  // digest → list-node index, bounded by 4096 entries and
   // config_.hash_registry_bytes (payload bytes; registry_bytes_ tracks
   // the current total).
+  using RegistryLru = std::list<std::pair<std::uint64_t, std::string>>;
   mutable std::mutex registry_mutex_;
-  std::list<std::pair<std::string, std::string>> registry_lru_;
-  std::unordered_map<
-      std::string, std::list<std::pair<std::string, std::string>>::iterator>
-      registry_index_;
+  RegistryLru registry_lru_;
+  std::unordered_map<std::uint64_t, RegistryLru::iterator> registry_index_;
   std::size_t registry_bytes_ = 0;
 
   mutable std::mutex stats_mutex_;

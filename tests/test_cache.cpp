@@ -8,6 +8,9 @@
 //  * Key isolation: model fingerprint and limits fingerprint partition
 //    the key space — the same source under different governance or a
 //    different model never aliases.
+//  * One key, two spellings: the service's 16-byte key equals the key
+//    derived from make_key's text, and text-keyed record files load and
+//    hit; concurrent hits, stores and evictions copy outcomes intact.
 //  * Durability: the disk tier survives restart and memory eviction; a
 //    torn tail truncates back to the last good record; a foreign header
 //    discards the file instead of reinterpreting it.
@@ -18,6 +21,9 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,6 +33,7 @@
 #include <regex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/longitudinal.h"
@@ -37,6 +44,7 @@
 #include "analysis/wire.h"
 #include "support/json_reader.h"
 #include "support/rng.h"
+#include "support/strings.h"
 #include "transform/transform.h"
 
 namespace jst {
@@ -176,6 +184,52 @@ TEST(CacheKey, ComposesContentModelLimitsAndWireVersion) {
                                                  ResourceLimits::production()));
   EXPECT_NE(key, analysis::ResultCache::make_key(content, "00ff00ff00ff00ff",
                                                  ResourceLimits{}));
+}
+
+TEST(CacheKey, TextKeysDeriveOneFixedKey) {
+  const std::string source = "var x = 1;";
+  const std::string model = "00ff00ff00ff00ff";
+  const ResourceLimits limits = ResourceLimits::production();
+  const std::string text = analysis::ResultCache::make_key(
+      analysis::content_hash(source), model, limits);
+  // make_key's form: {content digest, FNV-1a of the text after the '|'}.
+  const analysis::CacheKey expected{
+      strings::fnv1a(source),
+      strings::fnv1a(analysis::ResultCache::key_context(model, limits))};
+  EXPECT_EQ(analysis::cache_key_of(text), expected);
+  EXPECT_EQ(text, analysis::content_hash(source) + "|" +
+                      analysis::ResultCache::key_context(model, limits));
+  // Any other string is hashed whole; forms that merely resemble
+  // make_key's (uppercase hex, a short prefix, no '|') are "other".
+  std::string upper = text;
+  for (std::size_t i = 0; i < 16; ++i) {
+    upper[i] = static_cast<char>(std::toupper(upper[i]));
+  }
+  for (const std::string& other :
+       {std::string("key-1"), text.substr(1), upper,
+        analysis::content_hash(source)}) {
+    const analysis::CacheKey derived = analysis::cache_key_of(other);
+    EXPECT_EQ(derived.content, strings::fnv1a(other)) << other;
+    EXPECT_EQ(derived.context, analysis::cache_key_of("key-2").context)
+        << other;
+    EXPECT_NE(derived, expected) << other;
+  }
+}
+
+TEST(ContentHash, HexSpellingRoundTrips) {
+  for (const std::string source : {"", "var x = 1;", "\xff\x00 tail"}) {
+    const std::uint64_t digest = strings::fnv1a(source);
+    const std::string hex = analysis::content_hash_hex(digest);
+    EXPECT_EQ(hex, analysis::content_hash(source));
+    std::uint64_t parsed = 0;
+    ASSERT_TRUE(analysis::parse_content_hash(hex, parsed));
+    EXPECT_EQ(parsed, digest);
+  }
+  std::uint64_t unused = 0;
+  EXPECT_FALSE(analysis::parse_content_hash("0123456789ABCDEF", unused));
+  EXPECT_FALSE(analysis::parse_content_hash("0123456789abcde", unused));
+  EXPECT_FALSE(analysis::parse_content_hash("0123456789abcdefa", unused));
+  EXPECT_FALSE(analysis::parse_content_hash("0123456789abcdeg", unused));
 }
 
 // --- record round-trip -----------------------------------------------------
@@ -522,6 +576,187 @@ TEST(ServiceCache, LimitsFingerprintIsolatesEntries) {
   EXPECT_EQ(clipped_again.cache, analysis::CacheState::kHit);
   EXPECT_EQ(clipped_again.outcome.status,
             analysis::ScriptStatus::kIneligibleSize);
+}
+
+// The key the service builds from a source digest and its per-limits
+// context equals the key derived from make_key's text, so a hit through
+// either path serves the same outcome.
+TEST(ServiceCache, ServiceKeyEqualsTextKey) {
+  ResourceLimits sized;
+  sized.max_source_bytes = 300;  // some corpus scripts become ineligible
+  ResourceLimits deep;
+  deep.max_ast_depth = 4096;
+  ResourceLimits timed;
+  timed.deadline_ms = 600000.0;
+  const std::vector<std::string> corpus = seed_corpus();
+  for (const ResourceLimits& limits :
+       {ResourceLimits{}, ResourceLimits::production(), sized, deep, timed}) {
+    analysis::ResultCache by_service({});
+    analysis::ResultCache by_text({});
+    const analysis::AnalyzerService service(shared_analyzer(), &by_service);
+    const analysis::AnalyzerService reader(shared_analyzer(), &by_text);
+    const std::string fingerprint = analysis::limits_fingerprint(limits);
+    for (const std::string& source : corpus) {
+      const std::string text = analysis::ResultCache::make_key(
+          analysis::content_hash(source), service.model_fingerprint(),
+          limits);
+      // Service stores, text path reads.
+      const analysis::AnalyzeResponse computed =
+          service.analyze(analysis::AnalyzeRequest::for_source(source), limits);
+      ASSERT_EQ(computed.cache, analysis::CacheState::kMiss);
+      ASSERT_TRUE(analysis::ResultCache::cacheable(computed.outcome))
+          << fingerprint;
+      EXPECT_TRUE(by_service.contains(analysis::cache_key_of(text)));
+      const std::optional<analysis::ScriptOutcome> read =
+          by_service.lookup(text);
+      ASSERT_TRUE(read.has_value()) << fingerprint;
+      const std::string expected =
+          analysis::wire::script_outcome_json(computed.outcome);
+      EXPECT_EQ(analysis::wire::script_outcome_json(*read), expected);
+      // Text path stores, service path reads.
+      by_text.store(text, computed.outcome);
+      const analysis::AnalyzeResponse hit =
+          reader.analyze(analysis::AnalyzeRequest::for_source(source), limits);
+      EXPECT_EQ(hit.cache, analysis::CacheState::kHit) << fingerprint;
+      EXPECT_EQ(analysis::wire::script_outcome_json(hit.outcome), expected);
+      EXPECT_EQ(hit.service_ms, hit.cache_lookup_ms);
+    }
+    EXPECT_EQ(by_text.counters().hits, corpus.size());
+    EXPECT_EQ(by_text.counters().misses, 0u);
+  }
+}
+
+// A record file written before the 16-byte key (header plus records
+// keyed by make_key's text, and by an arbitrary text key) loads and
+// serves hits through the service and the text API.
+TEST(ServiceCache, TextKeyedRecordFileLoadsAndHits) {
+  TempDir dir;
+  const analysis::AnalyzerService plain(shared_analyzer());
+  const std::vector<std::string> corpus = seed_corpus();
+  std::vector<std::string> expected;
+  {
+    analysis::ResultCache cache({});  // only for its model fingerprint
+    const analysis::AnalyzerService keyed(shared_analyzer(), &cache);
+    std::ofstream out(dir.path + "/results.ndjson", std::ios::binary);
+    out << "{\"magic\":\"jstcache\",\"version\":1,\"wire\":"
+        << analysis::wire::kWireFormatVersion << "}\n";
+    for (const std::string& source : corpus) {
+      const analysis::ScriptOutcome outcome =
+          plain.analyze(analysis::AnalyzeRequest::for_source(source)).outcome;
+      expected.push_back(analysis::wire::script_outcome_json(outcome));
+      out << "{\"key\":\""
+          << analysis::ResultCache::make_key(analysis::content_hash(source),
+                                             keyed.model_fingerprint(),
+                                             ResourceLimits{})
+          << "\",\"outcome\":" << expected.back() << "}\n";
+    }
+    out << "{\"key\":\"legacy-key\",\"outcome\":" << expected.front()
+        << "}\n";
+  }
+  analysis::ResultCache cache({dir.path, std::size_t{64} << 20});
+  ASSERT_TRUE(cache.load_error().empty()) << cache.load_error();
+  EXPECT_EQ(cache.counters().disk_records, corpus.size() + 1);
+  const analysis::AnalyzerService service(shared_analyzer(), &cache);
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const analysis::AnalyzeResponse response =
+        service.analyze(analysis::AnalyzeRequest::for_source(corpus[i]));
+    EXPECT_EQ(response.cache, analysis::CacheState::kHit) << i;
+    EXPECT_EQ(analysis::wire::script_outcome_json(response.outcome),
+              expected[i]);
+  }
+  const std::optional<analysis::ScriptOutcome> legacy =
+      cache.lookup("legacy-key");
+  ASSERT_TRUE(legacy.has_value());
+  EXPECT_EQ(analysis::wire::script_outcome_json(*legacy), expected.front());
+  EXPECT_EQ(cache.counters().misses, 0u);
+}
+
+// Four threads hit, store and refresh under a memory budget of one
+// entry, so nearly every store evicts or displaces an outcome another
+// thread may be copying after unlocking (and, with a disk tier, races
+// disk promotions). Every answer is byte-identical to the stored outcome.
+TEST(ResultCache, ConcurrentHitsStoresAndEvictionsStayByteIdentical) {
+  const std::vector<std::string> corpus = seed_corpus();
+  std::vector<analysis::ScriptOutcome> outcomes;
+  std::vector<std::string> expected;
+  std::size_t largest = 0;
+  for (std::size_t i = 0; i < 3; ++i) {
+    outcomes.push_back(analyze_outcome_of(corpus[i]));
+    expected.push_back(analysis::wire::script_outcome_json(outcomes.back()));
+    largest = std::max(largest, expected.back().size());
+  }
+  const std::size_t budget = largest + 64;  // one entry fits, two do not
+  for (const bool with_disk : {false, true}) {
+    TempDir dir;
+    analysis::ResultCache cache({with_disk ? dir.path : std::string(), budget});
+    std::atomic<std::size_t> wrong{0};
+    std::atomic<std::size_t> hits{0};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t round = 0; round < 2000; ++round) {
+          const std::size_t k = (round + t) % outcomes.size();
+          const std::string key = "concurrent-" + std::to_string(k);
+          if ((round + t) % 2 == 0) {
+            cache.store(key, outcomes[k]);  // first store or refresh
+            continue;
+          }
+          const std::optional<analysis::ScriptOutcome> hit =
+              cache.lookup(key);
+          if (!hit.has_value()) continue;
+          ++hits;
+          if (analysis::wire::script_outcome_json(*hit) != expected[k]) {
+            ++wrong;
+          }
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    const analysis::ResultCache::Counters counters = cache.counters();
+    EXPECT_EQ(wrong.load(), 0u) << "with_disk=" << with_disk;
+    EXPECT_GT(hits.load(), 0u);
+    EXPECT_GT(counters.evictions, 0u);
+    EXPECT_LE(counters.bytes, budget);
+    EXPECT_EQ(counters.hits, hits.load());
+  }
+}
+
+TEST(ServiceCache, ConcurrentRefreshesAndHitsServeOneOutcome) {
+  const std::vector<std::string> corpus = seed_corpus();
+  const analysis::AnalyzerService plain(shared_analyzer());
+  std::vector<std::string> expected;
+  std::size_t largest = 0;
+  for (std::size_t i = 0; i < 6; ++i) {
+    const std::string json = analysis::wire::script_outcome_json(
+        plain.analyze(analysis::AnalyzeRequest::for_source(corpus[i]))
+            .outcome);
+    largest = std::max(largest, json.size());
+    expected.push_back(strip_timing(json));
+  }
+  TempDir dir;
+  analysis::ResultCache cache({dir.path, (largest + 64) * 2});
+  const analysis::AnalyzerService service(shared_analyzer(), &cache);
+  std::atomic<std::size_t> wrong{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t round = 0; round < 24; ++round) {
+        const std::size_t k = (round + t) % expected.size();
+        analysis::AnalyzeRequest request =
+            analysis::AnalyzeRequest::for_source(corpus[k]);
+        if (round % 5 == t % 5) request.cache_mode = CacheMode::kRefresh;
+        const analysis::AnalyzeResponse response = service.analyze(request);
+        if (strip_timing(analysis::wire::script_outcome_json(
+                response.outcome)) != expected[k]) {
+          ++wrong;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_GT(cache.counters().hits, 0u);
+  EXPECT_GT(cache.counters().evictions, 0u);
 }
 
 TEST(ServiceCache, BypassAndRefreshSemantics) {

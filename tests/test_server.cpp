@@ -609,13 +609,14 @@ TEST_F(ServerFixture, MalformedLineAnswersInvalidRequest) {
   EXPECT_EQ(daemon_->stats().requests_invalid, lines.size());
 }
 
-// Virtual address space of this process in KiB, from /proc/self/status.
-std::size_t vm_size_kib() {
+// One "Vm...:" field of /proc/self/status in KiB (VmSize: virtual address
+// space, VmRSS: resident set, VmHWM: peak resident set).
+std::size_t status_kib(const std::string& field) {
   std::ifstream status("/proc/self/status");
   std::string line;
   while (std::getline(status, line)) {
-    if (line.rfind("VmSize:", 0) == 0) {
-      return static_cast<std::size_t>(std::stoull(line.substr(7)));
+    if (line.rfind(field, 0) == 0) {
+      return static_cast<std::size_t>(std::stoull(line.substr(field.size())));
     }
   }
   return 0;
@@ -631,17 +632,76 @@ TEST_F(ServerFixture, FinishedConnectionsAreReaped) {
     EXPECT_TRUE(client.ping());
   };
   for (int i = 0; i < 8; ++i) ping_and_close();
-  const std::size_t before_kib = vm_size_kib();
+  const std::size_t before_kib = status_kib("VmSize:");
   ASSERT_GT(before_kib, 0u);
   constexpr int kConnections = 200;
   for (int i = 0; i < kConnections; ++i) ping_and_close();
-  const std::size_t after_kib = vm_size_kib();
+  const std::size_t after_kib = status_kib("VmSize:");
   const std::size_t growth_kib =
       after_kib > before_kib ? after_kib - before_kib : 0;
   EXPECT_LT(growth_kib, 256u * 1024u)
       << "VmSize grew " << growth_kib / 1024 << " MiB over " << kConnections
       << " connections";
   EXPECT_EQ(daemon_->stats().connections_accepted, 8u + kConnections);
+}
+
+// A request line may be at most 6 × max_source_bytes + 64 KiB long. A
+// newline-free stream many times that is answered once with
+// kInvalidRequest and the connection is closed, without the daemon
+// buffering the stream: the process's peak RSS grows by less than the cap
+// plus a margin.
+TEST_F(ServerFixture, OverlongLineIsRefusedWithoutBuffering) {
+  server::ServerConfig config;
+  constexpr std::size_t kMaxSource = 4096;
+  config.default_limits.max_source_bytes = kMaxSource;
+  StartServer("overlong", config);
+  constexpr std::size_t kCap = 6 * kMaxSource + 64 * 1024;
+  constexpr std::size_t kMargin = std::size_t{8} << 20;
+  // VmHWM only moves once RSS passes the old peak, so the stream covers
+  // the gap between the two before it counts.
+  const std::size_t hwm_before = status_kib("VmHWM:") * 1024;
+  const std::size_t rss_before = status_kib("VmRSS:") * 1024;
+  ASSERT_GT(hwm_before, 0u);
+  const std::size_t stream_bytes =
+      (hwm_before > rss_before ? hwm_before - rss_before : 0) + 4 * kMargin;
+
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un address{};
+  address.sun_family = AF_UNIX;
+  std::strncpy(address.sun_path, daemon_->socket_path().c_str(),
+               sizeof(address.sun_path) - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&address),
+                      sizeof(address)),
+            0);
+  const std::string chunk(64 * 1024, 'a');
+  std::size_t sent = 0;
+  while (sent < stream_bytes) {
+    const ssize_t n = ::send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+    if (n <= 0) break;  // the daemon closed the connection
+    sent += static_cast<std::size_t>(n);
+  }
+  ::shutdown(fd, SHUT_WR);
+  std::string received;
+  char buffer[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+    if (n <= 0) break;
+    received.append(buffer, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+
+  const std::size_t hwm_after = status_kib("VmHWM:") * 1024;
+  EXPECT_LT(hwm_after - hwm_before, kCap + kMargin)
+      << "peak RSS grew " << (hwm_after - hwm_before) / 1024 << " KiB";
+  EXPECT_LT(sent, stream_bytes) << "the daemon read the whole stream";
+  const std::vector<std::string> lines = split_lines(received);
+  ASSERT_EQ(lines.size(), 1u) << received;
+  std::string error;
+  const auto parsed = analysis::wire::parse_analyze_response(lines[0], &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  EXPECT_EQ(parsed->status, analysis::ResponseStatus::kInvalidRequest);
+  EXPECT_EQ(daemon_->stats().requests_invalid, 1u);
 }
 
 // Opens a connection, writes `pieces` with one send() each (1 ms apart,
