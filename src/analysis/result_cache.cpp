@@ -4,11 +4,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <iterator>
 #include <utility>
 
 #include "analysis/wire.h"
@@ -152,6 +152,32 @@ bool write_all_fd(int fd, std::string_view data) {
     data.remove_prefix(static_cast<std::size_t>(n));
   }
   return true;
+}
+
+// Everything a record line holds before its outcome JSON:
+// {"key":<key>,"outcome":
+std::string record_prefix(std::string_view key) {
+  JsonWriter writer;
+  writer.begin_object();
+  writer.key("key"); writer.value(key);
+  writer.key("outcome");
+  return writer.str();
+}
+
+// The memory tier charges an outcome its 16-byte key plus its serialized
+// size on every path. store() has the serialized outcome at hand; a line
+// it wrote carries those bytes verbatim, so a load or a promotion reads
+// their length off the line, and serializes afresh only for a line in
+// another layout (a hand-written record).
+std::size_t charge_of_record(std::string_view line, std::string_view key,
+                             const ScriptOutcome& outcome) {
+  const std::string prefix = record_prefix(key);
+  if (line.size() > prefix.size() && line.starts_with(prefix) &&
+      line.back() == '}') {
+    return sizeof(CacheKey) + line.size() - prefix.size() - 1;
+  }
+  return sizeof(CacheKey) +
+         wire::script_outcome_json(outcome, OutputDetail::kFull).size();
 }
 
 // FNV-1a 64 of the six ceilings' canonical text.
@@ -421,13 +447,15 @@ void ResultCache::load_locked() {
     }
     const CacheKey id = cache_key_of(key->as_string());
     disk_index_[id] = DiskRecord{offset, line_length};
-    // Warm the memory tier in file order: the newest appends land at the
-    // front of the LRU and survive the byte budget longest. Nothing else
+    // Warm the memory tier in file order: the newest appends are the most
+    // recently used and survive the byte budget longest. Nothing else
     // holds these outcomes yet, so displaced ones may die under the lock.
-    Lru dropped;
+    Dropped dropped;
     insert_memory_locked(
-        id, std::make_shared<const ScriptOutcome>(*std::move(outcome)),
-        line.size(), dropped);
+        id,
+        MemoryEntry::of(*outcome,
+                        charge_of_record(line, key->as_string(), *outcome)),
+        dropped);
     offset += line_length;
   }
   if (truncate_at_offset) {
@@ -442,87 +470,173 @@ void ResultCache::load_locked() {
   counters_.disk_records = disk_index_.size();
 }
 
-void ResultCache::insert_memory_locked(
-    const CacheKey& key, std::shared_ptr<const ScriptOutcome> outcome,
-    std::size_t outcome_bytes, Lru& dropped) {
-  const auto existing = index_.find(key);
-  if (existing != index_.end()) {
-    memory_bytes_ -= existing->second->bytes;
-    dropped.splice(dropped.end(), lru_, existing->second);
-    index_.erase(existing);
+ResultCache::MemoryEntry ResultCache::MemoryEntry::of(
+    const ScriptOutcome& outcome, std::size_t bytes) {
+  MemoryEntry entry;
+  entry.timing = outcome.timing;
+  entry.level1 = outcome.report.level1;
+  entry.bytes = bytes;
+  entry.status = static_cast<std::uint8_t>(outcome.status);
+  entry.report_status = static_cast<std::uint8_t>(outcome.report.status);
+  const std::vector<double>& confidence = outcome.report.technique_confidence;
+  const std::vector<transform::Technique>& techniques =
+      outcome.report.techniques;
+  const bool spilled =
+      confidence.size() > kInline || techniques.size() > kInline;
+  if (spilled) {
+    entry.confidences = kSpilled;
+  } else {
+    std::copy(confidence.begin(), confidence.end(), entry.confidence.begin());
+    std::copy(techniques.begin(), techniques.end(), entry.techniques.begin());
+    entry.confidences = static_cast<std::uint8_t>(confidence.size());
+    entry.technique_count = static_cast<std::uint8_t>(techniques.size());
   }
-  const std::size_t entry_bytes = sizeof(CacheKey) + outcome_bytes;
-  if (entry_bytes > config_.max_bytes) return;  // never fits; disk only
-  while (!lru_.empty() && memory_bytes_ + entry_bytes > config_.max_bytes) {
-    memory_bytes_ -= lru_.back().bytes;
-    index_.erase(lru_.back().key);
-    dropped.splice(dropped.end(), lru_, std::prev(lru_.end()));
+  if (spilled || !outcome.error_message.empty() ||
+      outcome.budget.has_value() || !outcome.skipped_stages.empty() ||
+      !outcome.partial_features.empty()) {
+    auto side = std::make_shared<ScriptOutcome>();
+    side->error_message = outcome.error_message;
+    side->budget = outcome.budget;
+    side->skipped_stages = outcome.skipped_stages;
+    side->partial_features = outcome.partial_features;
+    if (spilled) {
+      side->report.technique_confidence = confidence;
+      side->report.techniques = techniques;
+    }
+    entry.side = std::move(side);
+  }
+  return entry;
+}
+
+void ResultCache::MemoryEntry::copy_to(ScriptOutcome& outcome) const {
+  outcome.status = static_cast<ScriptStatus>(status);
+  outcome.report.status = static_cast<ScriptStatus>(report_status);
+  outcome.report.level1 = level1;
+  outcome.timing = timing;
+  if (confidences == kSpilled) {
+    outcome.report.technique_confidence = side->report.technique_confidence;
+    outcome.report.techniques = side->report.techniques;
+  } else {
+    outcome.report.technique_confidence.assign(
+        confidence.begin(), confidence.begin() + confidences);
+    outcome.report.techniques.assign(techniques.begin(),
+                                     techniques.begin() + technique_count);
+  }
+  if (side != nullptr) {
+    outcome.error_message = side->error_message;
+    outcome.budget = side->budget;
+    outcome.skipped_stages = side->skipped_stages;
+    outcome.partial_features = side->partial_features;
+  } else {
+    outcome.error_message.clear();
+    outcome.budget.reset();
+    outcome.skipped_stages.clear();
+    outcome.partial_features.clear();
+  }
+}
+
+void ResultCache::erase_memory_locked(MemoryTier::Id id, Dropped& dropped) {
+  MemoryEntry& entry = memory_.value(id);
+  memory_bytes_ -= entry.bytes;
+  if (entry.side != nullptr) dropped.push_back(std::move(entry.side));
+  memory_.erase(id);
+}
+
+void ResultCache::insert_memory_locked(const CacheKey& key, MemoryEntry entry,
+                                       Dropped& dropped) {
+  const MemoryTier::Id existing = memory_.find(key);
+  if (existing != MemoryTier::kNone) erase_memory_locked(existing, dropped);
+  const std::size_t entry_bytes = entry.bytes;
+  if (entry_bytes > config_.max_bytes) {
+    // Never fits; disk only.
+    if (entry.side != nullptr) dropped.push_back(std::move(entry.side));
+    return;
+  }
+  while (memory_bytes_ + entry_bytes > config_.max_bytes) {
+    const MemoryTier::Id victim = memory_.oldest();
+    if (victim == MemoryTier::kNone) break;
+    erase_memory_locked(victim, dropped);
     ++counters_.evictions;
     cache_metrics().evictions.add(1);
   }
-  lru_.push_front(MemoryEntry{key, std::move(outcome), entry_bytes});
+  memory_.insert(key, std::move(entry));
   memory_bytes_ += entry_bytes;
-  index_.emplace(key, lru_.begin());
 }
 
 std::optional<ScriptOutcome> ResultCache::read_record(
-    const DiskRecord& record) const {
-  std::string line(record.length, '\0');
-  const ssize_t n = ::pread(fd_, line.data(), line.size(),
+    const DiskRecord& record, std::size_t& charge) const {
+  std::string buffer(record.length, '\0');
+  const ssize_t n = ::pread(fd_, buffer.data(), buffer.size(),
                             static_cast<off_t>(record.offset));
-  if (n != static_cast<ssize_t>(line.size())) return std::nullopt;
-  std::optional<support::JsonValue> document = support::parse_json(
-      std::string_view(line.data(), line.size() - 1));  // strip newline
+  if (n != static_cast<ssize_t>(buffer.size())) return std::nullopt;
+  const std::string_view line(buffer.data(), buffer.size() - 1);  // no \n
+  std::optional<support::JsonValue> document = support::parse_json(line);
   if (!document.has_value()) return std::nullopt;
+  const support::JsonValue* key = document->find("key");
   const support::JsonValue* outcome_value = document->find("outcome");
-  if (outcome_value == nullptr) return std::nullopt;
-  return parse_script_outcome(*outcome_value);
+  if (key == nullptr || !key->is_string() || outcome_value == nullptr) {
+    return std::nullopt;
+  }
+  std::optional<ScriptOutcome> outcome = parse_script_outcome(*outcome_value);
+  if (outcome.has_value()) {
+    charge = charge_of_record(line, key->as_string(), *outcome);
+  }
+  return outcome;
 }
 
 bool ResultCache::lookup(const CacheKey& key, ScriptOutcome& outcome) {
-  std::shared_ptr<const ScriptOutcome> resident;
+  MemoryEntry copy;
+  bool in_memory = false;
   DiskRecord record;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = index_.find(key);
-    if (it != index_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
+    const MemoryTier::Id id = memory_.find(key);
+    if (id != MemoryTier::kNone) {
+      memory_.touch(id);
       ++counters_.hits;
-      resident = it->second->outcome;
+      copy = memory_.value(id);
+      in_memory = true;
     } else {
-      const auto disk = disk_index_.find(key);
-      if (disk == disk_index_.end()) {
+      const DiskIndex::Id disk = disk_index_.find(key);
+      if (disk == DiskIndex::kNone) {
         ++counters_.misses;
         cache_metrics().misses.add(1);
         return false;
       }
-      record = disk->second;
+      record = disk_index_.value(disk);
     }
   }
-  if (resident == nullptr) {
-    // Disk tier: the record is read and parsed unlocked (the file is
-    // append-only, so its bytes at `record` never change), then promoted
-    // unless a refresh appended a newer record or another lookup already
-    // promoted it meanwhile.
-    std::optional<ScriptOutcome> parsed = read_record(record);
-    Lru dropped;
+  if (in_memory) {
+    copy.copy_to(outcome);
+    cache_metrics().hits.add(1);
+    return true;
+  }
+  // Disk tier: the record is read and parsed unlocked (the file is
+  // append-only, so its bytes at `record` never change), then promoted
+  // unless a refresh appended a newer record or another lookup already
+  // promoted it meanwhile.
+  std::size_t charge = 0;
+  std::optional<ScriptOutcome> parsed = read_record(record, charge);
+  MemoryEntry promoted;
+  if (parsed.has_value()) promoted = MemoryEntry::of(*parsed, charge);
+  Dropped dropped;
+  {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!parsed.has_value()) {
       ++counters_.misses;
       cache_metrics().misses.add(1);
       return false;
     }
-    resident = std::make_shared<const ScriptOutcome>(*std::move(parsed));
     ++counters_.hits;
-    const auto disk = disk_index_.find(key);
-    if (disk != disk_index_.end() && disk->second.offset == record.offset &&
-        !index_.contains(key)) {
-      insert_memory_locked(key, resident,
-                           static_cast<std::size_t>(record.length), dropped);
+    const DiskIndex::Id disk = disk_index_.find(key);
+    if (disk != DiskIndex::kNone &&
+        disk_index_.value(disk).offset == record.offset &&
+        memory_.find(key) == MemoryTier::kNone) {
+      insert_memory_locked(key, std::move(promoted), dropped);
     }
   }
   cache_metrics().hits.add(1);
-  outcome = *resident;
+  outcome = *std::move(parsed);
   return true;
 }
 
@@ -544,7 +658,13 @@ bool ResultCache::contains(const std::string& key) const {
 
 bool ResultCache::contains(const CacheKey& key) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return index_.contains(key) || disk_index_.contains(key);
+  return memory_.find(key) != MemoryTier::kNone ||
+         disk_index_.find(key) != DiskIndex::kNone;
+}
+
+bool ResultCache::resident(const CacheKey& key) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return memory_.find(key) != MemoryTier::kNone;
 }
 
 void ResultCache::store(const std::string& key, const ScriptOutcome& outcome) {
@@ -554,19 +674,16 @@ void ResultCache::store(const std::string& key, const ScriptOutcome& outcome) {
       wire::script_outcome_json(outcome, OutputDetail::kFull);
   std::string line;
   if (fd_ >= 0) {
-    JsonWriter writer;
-    writer.begin_object();
-    writer.key("key"); writer.value(key);
-    writer.key("outcome"); writer.raw(outcome_json);
-    writer.end_object();
-    line = writer.str();
-    line.push_back('\n');
+    line = record_prefix(key);
+    line.append(outcome_json);
+    line.append("}\n");
   }
-  auto shared = std::make_shared<const ScriptOutcome>(outcome);
-  Lru dropped;
+  MemoryEntry entry =
+      MemoryEntry::of(outcome, sizeof(CacheKey) + outcome_json.size());
+  Dropped dropped;
   std::lock_guard<std::mutex> lock(mutex_);
   if (fd_ >= 0 && !append_locked(id, line)) return;
-  insert_memory_locked(id, std::move(shared), outcome_json.size(), dropped);
+  insert_memory_locked(id, std::move(entry), dropped);
   ++counters_.stores;
   cache_metrics().stores.add(1);
 }
@@ -592,7 +709,7 @@ void ResultCache::note_bypass() {
 ResultCache::Counters ResultCache::counters() const {
   std::lock_guard<std::mutex> lock(mutex_);
   Counters snapshot = counters_;
-  snapshot.entries = index_.size();
+  snapshot.entries = memory_.size();
   snapshot.bytes = memory_bytes_;
   snapshot.disk_records = disk_index_.size();
   return snapshot;

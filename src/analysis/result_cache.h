@@ -9,11 +9,12 @@
 // bit-identical to recomputation by construction.
 //
 // Two tiers share one key space:
-//   - an in-memory, byte-budgeted LRU of parsed outcomes (the same
-//     list+index discipline as the daemon's source registry, DESIGN.md
-//     §13), serving hot keys without touching the disk or the parser;
+//   - an in-memory, byte-budgeted LRU of outcomes held in a fixed-size
+//     inline form (support::LruTable, the table the daemon's source
+//     registry also uses, DESIGN.md §13), serving hot keys without
+//     touching the disk or the parser;
 //   - an append-only NDJSON record file (<dir>/results.ndjson) fronted
-//     by an offset index, so a restart — or an entry evicted from the
+//     by a flat offset index, so a restart — or an entry evicted from the
 //     memory tier — still resolves without re-analysis.
 // The record file opens with a versioned header checked model_io-style
 // (magic, format version, wire version); a mismatch discards the file
@@ -24,9 +25,9 @@
 // Both tiers are indexed by a fixed 16-byte CacheKey; a text key (the
 // make_key spelling, which the record file stores) is another spelling of
 // the same key through cache_key_of. The mutex covers only finding,
-// linking and unlinking entries: outcomes are held as shared immutable
-// objects and copied after unlocking, and record lines are encoded and
-// disk records parsed outside the lock.
+// linking and unlinking entries: a hit copies its fixed-size entry under
+// the lock and builds the ScriptOutcome after unlocking, and record lines
+// are encoded and disk records parsed outside the lock.
 //
 // Staleness policy lives in the caller (AnalyzerService): only settled
 // outcomes — never degraded or budget/deadline-tripped ones — are
@@ -34,18 +35,19 @@
 // record wins on reload).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 #include "analysis/pipeline.h"
 #include "support/budget.h"
 #include "support/json_reader.h"
+#include "support/lru_table.h"
 
 namespace jst::analysis {
 
@@ -150,6 +152,9 @@ class ResultCache {
   bool contains(const std::string& key) const;
   bool contains(const CacheKey& key) const;
 
+  // True when the key is in the memory tier; no recency change, no counter.
+  bool resident(const CacheKey& key) const;
+
   // Appends the outcome under `key` (overwriting any previous entry —
   // last record wins on reload). Callers gate on cacheable(); store()
   // also enforces it and silently drops uncacheable outcomes.
@@ -187,22 +192,44 @@ class ResultCache {
     std::uint64_t offset = 0;  // byte offset of the record line
     std::uint64_t length = 0;  // line length including the newline
   };
+  // A memory-tier outcome in fixed-size form (DESIGN.md §15): everything
+  // a settled outcome carries is inline except an error message, a
+  // budget trip, skipped stages, partial features, or more than
+  // kInline confidences or techniques. Those go in `side`, an immutable
+  // shared object, so an eviction cannot free it while a hit copies it.
   struct MemoryEntry {
-    CacheKey key;
-    // Shared so a hit can copy it after unlocking while an eviction
-    // drops the entry.
-    std::shared_ptr<const ScriptOutcome> outcome;
-    std::size_t bytes = 0;  // key + serialized-outcome footprint estimate
+    static constexpr std::size_t kInline = 10;
+    // `confidences` value meaning both lists are in `side`.
+    static constexpr std::uint8_t kSpilled = 0xff;
+
+    StageTimings timing;
+    Level1Detector::Prediction level1;
+    std::array<double, kInline> confidence{};
+    std::shared_ptr<const ScriptOutcome> side;
+    std::size_t bytes = 0;  // budget charge: key + serialized outcome
+    std::array<transform::Technique, kInline> techniques{};
+    std::uint8_t status = 0;
+    std::uint8_t report_status = 0;
+    std::uint8_t confidences = 0;
+    std::uint8_t technique_count = 0;
+
+    static MemoryEntry of(const ScriptOutcome& outcome, std::size_t bytes);
+    void copy_to(ScriptOutcome& outcome) const;
   };
-  using Lru = std::list<MemoryEntry>;
+  using MemoryTier = support::LruTable<CacheKey, MemoryEntry, CacheKeyHash>;
+  using DiskIndex = support::FlatTable<CacheKey, DiskRecord, CacheKeyHash>;
+  // Side objects of displaced and evicted entries, released after
+  // unlocking.
+  using Dropped = std::vector<std::shared_ptr<const ScriptOutcome>>;
 
   void load_locked();
-  // Links the outcome at the LRU front, moving displaced and evicted
-  // entries into `dropped` so their outcomes are freed after unlocking.
-  void insert_memory_locked(const CacheKey& key,
-                            std::shared_ptr<const ScriptOutcome> outcome,
-                            std::size_t outcome_bytes, Lru& dropped);
-  std::optional<ScriptOutcome> read_record(const DiskRecord& record) const;
+  // Links the entry as most recently used, evicting by the byte budget.
+  void insert_memory_locked(const CacheKey& key, MemoryEntry entry,
+                            Dropped& dropped);
+  void erase_memory_locked(MemoryTier::Id id, Dropped& dropped);
+  // Reads and parses one record, setting `charge` to its budget charge.
+  std::optional<ScriptOutcome> read_record(const DiskRecord& record,
+                                           std::size_t& charge) const;
   bool append_locked(const CacheKey& key, std::string_view line);
 
   Config config_;
@@ -211,9 +238,8 @@ class ResultCache {
   int fd_ = -1;  // O_APPEND record file; -1 for memory-only caches
 
   mutable std::mutex mutex_;
-  Lru lru_;  // front = most recently used
-  std::unordered_map<CacheKey, Lru::iterator, CacheKeyHash> index_;
-  std::unordered_map<CacheKey, DiskRecord, CacheKeyHash> disk_index_;
+  MemoryTier memory_;
+  DiskIndex disk_index_;
   std::size_t memory_bytes_ = 0;
   Counters counters_;
 };

@@ -653,31 +653,30 @@ void Server::register_source(std::uint64_t digest,
   if (source.size() > config_.hash_registry_bytes) return;
 
   std::lock_guard<std::mutex> lock(registry_mutex_);
-  const auto it = registry_index_.find(digest);
-  if (it != registry_index_.end()) {
-    registry_lru_.splice(registry_lru_.begin(), registry_lru_, it->second);
+  const Registry::Id existing = registry_.find(digest);
+  if (existing != Registry::kNone) {
+    registry_.touch(existing);
     return;
   }
   // Evict least-recently-used entries until both budgets admit the new
   // source; the caps guarantee this terminates with room to spare.
-  while (!registry_lru_.empty() &&
-         (registry_index_.size() >= kHashRegistryEntries ||
-          registry_bytes_ + source.size() > config_.hash_registry_bytes)) {
-    registry_bytes_ -= registry_lru_.back().second.size();
-    registry_index_.erase(registry_lru_.back().first);
-    registry_lru_.pop_back();
+  while (registry_.size() >= kHashRegistryEntries ||
+         registry_bytes_ + source.size() > config_.hash_registry_bytes) {
+    const Registry::Id victim = registry_.oldest();
+    if (victim == Registry::kNone) break;
+    registry_bytes_ -= registry_.value(victim).size();
+    registry_.erase(victim);
   }
-  registry_lru_.emplace_front(digest, source);
+  registry_.insert(digest, source);
   registry_bytes_ += source.size();
-  registry_index_.emplace(digest, registry_lru_.begin());
 }
 
 bool Server::resolve_source(std::uint64_t digest, std::string& source) {
   std::lock_guard<std::mutex> lock(registry_mutex_);
-  const auto it = registry_index_.find(digest);
-  if (it == registry_index_.end()) return false;
-  registry_lru_.splice(registry_lru_.begin(), registry_lru_, it->second);
-  source = it->second->second;
+  const Registry::Id id = registry_.find(digest);
+  if (id == Registry::kNone) return false;
+  registry_.touch(id);
+  source = registry_.value(id);
   return true;
 }
 

@@ -46,12 +46,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <list>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -59,6 +58,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/window.h"
 #include "support/budget.h"
+#include "support/lru_table.h"
 #include "support/thread_pool.h"
 
 namespace jst::server {
@@ -221,14 +221,13 @@ class Server {
   mutable std::mutex connections_mutex_;
   std::vector<std::unique_ptr<Connection>> connections_;
 
-  // Content-hash registry: LRU list (front = most recently used) plus a
-  // digest → list-node index, bounded by 4096 entries and
-  // config_.hash_registry_bytes (payload bytes; registry_bytes_ tracks
-  // the current total).
-  using RegistryLru = std::list<std::pair<std::uint64_t, std::string>>;
+  // Content-hash registry: digest → source in an LRU table, bounded by
+  // 4096 entries and config_.hash_registry_bytes (payload bytes;
+  // registry_bytes_ tracks the current total).
+  using Registry =
+      support::LruTable<std::uint64_t, std::string, std::hash<std::uint64_t>>;
   mutable std::mutex registry_mutex_;
-  RegistryLru registry_lru_;
-  std::unordered_map<std::uint64_t, RegistryLru::iterator> registry_index_;
+  Registry registry_;
   std::size_t registry_bytes_ = 0;
 
   mutable std::mutex stats_mutex_;

@@ -14,6 +14,11 @@
 //  * Durability: the disk tier survives restart and memory eviction; a
 //    torn tail truncates back to the last good record; a foreign header
 //    discards the file instead of reinterpreting it.
+//  * Memory tier: seeded operation sequences keep counters, footprint and
+//    the resident key set equal to the list+map LRU it replaced
+//    (support/lru_oracle.h); every outcome shape, inline or spilled to a
+//    side object, comes back byte-identical from memory, disk and reload;
+//    every path charges the same bytes for one outcome.
 //  * Staleness rules: budget/deadline/degraded outcomes are never
 //    stored; refresh recomputes and overwrites (last record wins).
 //  * Wire v3: cache_mode round-trips, stays off the wire when default,
@@ -28,6 +33,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <regex>
@@ -43,6 +49,7 @@
 #include "analysis/wild.h"
 #include "analysis/wire.h"
 #include "support/json_reader.h"
+#include "support/lru_oracle.h"
 #include "support/rng.h"
 #include "support/strings.h"
 #include "transform/transform.h"
@@ -342,6 +349,24 @@ TEST(ResultCache, LruEvictsByByteBudgetOldestFirst) {
   EXPECT_FALSE(cache.contains("key-0"));
 }
 
+// The direct recency case: a hit makes its key the newest, so the next
+// eviction takes the oldest key that was not used since.
+TEST(ResultCache, HitProtectsKeyFromNextEviction) {
+  const analysis::ScriptOutcome outcome = analyze_outcome_of("var a = 1;");
+  const std::size_t charge =
+      sizeof(analysis::CacheKey) +
+      analysis::wire::script_outcome_json(outcome).size();
+  analysis::ResultCache cache({"", charge * 3});
+  for (const char* key : {"k0", "k1", "k2"}) cache.store(key, outcome);
+  ASSERT_TRUE(cache.lookup("k0").has_value());
+  cache.store("k3", outcome);
+  EXPECT_EQ(cache.counters().evictions, 1u);
+  EXPECT_FALSE(cache.contains("k1"));
+  for (const char* key : {"k0", "k2", "k3"}) {
+    EXPECT_TRUE(cache.contains(key)) << key;
+  }
+}
+
 // --- disk tier -------------------------------------------------------------
 
 TEST(ResultCacheDisk, SurvivesRestartBitIdentically) {
@@ -459,6 +484,327 @@ TEST(ResultCacheDisk, ForeignHeaderDiscardsFile) {
   analysis::ResultCache reopened({dir.path, std::size_t{64} << 20});
   EXPECT_TRUE(reopened.load_error().empty()) << reopened.load_error();
   EXPECT_TRUE(reopened.contains("fresh"));
+}
+
+// Every path into the memory tier charges one outcome the same bytes:
+// its 16-byte key plus its serialized size — after a store, after a
+// reload, and after an eviction followed by a disk promotion.
+TEST(ResultCacheDisk, EveryPathChargesKeyPlusSerializedOutcome) {
+  TempDir dir;
+  const analysis::ScriptOutcome outcome = analyze_outcome_of("var a = 1;");
+  const std::size_t charge =
+      sizeof(analysis::CacheKey) +
+      analysis::wire::script_outcome_json(outcome).size();
+  const analysis::ResultCache::Config config{dir.path, charge * 3 / 2};
+  {
+    analysis::ResultCache cache(config);
+    cache.store("charge-a", outcome);
+    EXPECT_EQ(cache.counters().bytes, charge);
+  }
+  analysis::ResultCache reopened(config);
+  ASSERT_TRUE(reopened.load_error().empty()) << reopened.load_error();
+  EXPECT_EQ(reopened.counters().entries, 1u);
+  EXPECT_EQ(reopened.counters().bytes, charge);
+  reopened.store("charge-b", outcome);  // evicts charge-a
+  EXPECT_EQ(reopened.counters().bytes, charge);
+  ASSERT_TRUE(reopened.lookup("charge-a").has_value());  // promotes
+  EXPECT_EQ(reopened.counters().evictions, 2u);
+  EXPECT_EQ(reopened.counters().bytes, charge);
+
+  // A hand-written record in another member order loads at the same
+  // charge.
+  TempDir other;
+  {
+    std::ofstream out(other.path + "/results.ndjson", std::ios::binary);
+    out << "{\"magic\":\"jstcache\",\"version\":1,\"wire\":"
+        << analysis::wire::kWireFormatVersion << "}\n"
+        << "{\"outcome\":" << analysis::wire::script_outcome_json(outcome)
+        << ",\"key\":\"charge-c\"}\n";
+  }
+  analysis::ResultCache reordered({other.path, config.max_bytes});
+  ASSERT_TRUE(reordered.load_error().empty()) << reordered.load_error();
+  EXPECT_EQ(reordered.counters().entries, 1u);
+  EXPECT_EQ(reordered.counters().bytes, charge);
+}
+
+// Outcomes a memory entry holds inline and ones that spill into its side
+// object (an error message, a budget trip, skipped stages, partial
+// features, more than ten confidences or techniques) come back
+// byte-identical from memory after a store, from memory after a reload,
+// from disk after eviction, and from memory after that promotion. The
+// uncacheable shapes enter through hand-written record lines, which the
+// loader accepts.
+TEST(ResultCacheDisk, CompactFormRoundTripsEveryShape) {
+  std::vector<analysis::ScriptOutcome> shapes = {
+      analyze_outcome_of(seed_corpus()[0]),
+      analyze_outcome_of(seed_corpus()[17]),
+      analyze_outcome_of("var = ;;; {{{"),
+      analyze_outcome_of("var tiny = 1;"),
+      analyze_outcome_of("var filler = \"" + std::string(600, 'a') + "\";"),
+  };
+  ASSERT_EQ(shapes[0].status, analysis::ScriptStatus::kOk);
+  ASSERT_EQ(shapes[2].status, analysis::ScriptStatus::kParseError);
+  ASSERT_GT(shapes[2].error_message.size(), std::string().capacity());
+  ASSERT_EQ(shapes[3].status, analysis::ScriptStatus::kIneligibleSize);
+  ASSERT_EQ(shapes[4].status, analysis::ScriptStatus::kIneligibleAst);
+  analysis::ScriptOutcome wide = shapes[0];  // 10 confidences, 11 ids
+  ASSERT_EQ(wide.report.technique_confidence.size(), 10u);
+  wide.report.techniques.assign(11, transform::Technique::kGlobalArray);
+  shapes.push_back(wide);
+  const std::size_t stored_count = shapes.size();
+
+  // One spilled field per shape, so each one alone must reach the side
+  // object.
+  analysis::ScriptOutcome tripped;
+  tripped.status = analysis::ScriptStatus::kDeadlineExceeded;
+  tripped.report.status = tripped.status;
+  tripped.timing = {75.5, 75.25, 0.0, 0.0};
+  tripped.budget = BudgetTrip{ResourceKind::kDeadline, 50.0, 75.5, "parse"};
+  shapes.push_back(tripped);
+  analysis::ScriptOutcome skipped = shapes[0];
+  skipped.status = analysis::ScriptStatus::kDegraded;
+  skipped.report.status = skipped.status;
+  skipped.report.technique_confidence.clear();
+  skipped.report.techniques.clear();
+  skipped.skipped_stages = {"ngrams", "inference"};
+  shapes.push_back(skipped);
+  analysis::ScriptOutcome partial = skipped;
+  partial.skipped_stages.clear();
+  partial.partial_features = {1.5f, 0.25f, -3.0f};
+  shapes.push_back(partial);
+  // Last and largest, so a one-entry budget holds nothing else with it.
+  analysis::ScriptOutcome many = wide;  // 16 confidences, 16 ids
+  many.report.technique_confidence.resize(16, 0.375);
+  many.report.techniques.resize(16, transform::Technique::kDebugProtection);
+  shapes.push_back(many);
+
+  std::vector<std::string> keys;
+  std::vector<std::string> expected;
+  std::size_t largest = 0;
+  for (const analysis::ScriptOutcome& outcome : shapes) {
+    keys.push_back("shape-" + std::to_string(keys.size()));
+    expected.push_back(analysis::wire::script_outcome_json(outcome));
+    largest = std::max(largest, expected.back().size());
+  }
+  ASSERT_EQ(expected.back().size(), largest);
+  const auto serves = [&](analysis::ResultCache& cache, std::size_t count,
+                          const char* stage) {
+    for (std::size_t i = 0; i < count; ++i) {
+      EXPECT_TRUE(cache.resident(analysis::cache_key_of(keys[i])))
+          << stage << " " << keys[i];
+      const std::optional<analysis::ScriptOutcome> hit = cache.lookup(keys[i]);
+      ASSERT_TRUE(hit.has_value()) << stage << " " << keys[i];
+      EXPECT_EQ(analysis::wire::script_outcome_json(*hit), expected[i])
+          << stage << " " << keys[i];
+    }
+  };
+
+  TempDir dir;
+  {
+    analysis::ResultCache cache({dir.path, std::size_t{64} << 20});
+    for (std::size_t i = 0; i < stored_count; ++i) {
+      ASSERT_TRUE(analysis::ResultCache::cacheable(shapes[i])) << i;
+      cache.store(keys[i], shapes[i]);
+    }
+    serves(cache, stored_count, "after store");
+  }
+  {
+    std::ofstream out(dir.path + "/results.ndjson",
+                      std::ios::binary | std::ios::app);
+    for (std::size_t i = stored_count; i < shapes.size(); ++i) {
+      out << "{\"key\":\"" << keys[i] << "\",\"outcome\":" << expected[i]
+          << "}\n";
+    }
+  }
+  {
+    analysis::ResultCache reopened({dir.path, std::size_t{64} << 20});
+    ASSERT_TRUE(reopened.load_error().empty()) << reopened.load_error();
+    serves(reopened, shapes.size(), "after reload");
+  }
+  // A one-entry budget: loading leaves only the last record resident, so
+  // each other shape is read from disk, then served from memory once
+  // promoted.
+  analysis::ResultCache narrow(
+      {dir.path, sizeof(analysis::CacheKey) + largest});
+  ASSERT_TRUE(narrow.load_error().empty()) << narrow.load_error();
+  for (std::size_t i = 0; i + 1 < shapes.size(); ++i) {
+    const analysis::CacheKey key = analysis::cache_key_of(keys[i]);
+    EXPECT_FALSE(narrow.resident(key)) << keys[i];
+    const std::optional<analysis::ScriptOutcome> from_disk =
+        narrow.lookup(keys[i]);
+    ASSERT_TRUE(from_disk.has_value()) << keys[i];
+    EXPECT_EQ(analysis::wire::script_outcome_json(*from_disk), expected[i]);
+    EXPECT_TRUE(narrow.resident(key)) << keys[i];
+    const std::optional<analysis::ScriptOutcome> promoted =
+        narrow.lookup(keys[i]);
+    ASSERT_TRUE(promoted.has_value()) << keys[i];
+    EXPECT_EQ(analysis::wire::script_outcome_json(*promoted), expected[i]);
+  }
+}
+
+// --- memory tier against the list+map oracle -----------------------------
+
+// Settled outcomes of several shapes and serialized sizes, built by hand:
+// ok reports with 0..10 techniques, a parse error, an ineligible script.
+std::vector<analysis::ScriptOutcome> synthetic_outcomes() {
+  std::vector<analysis::ScriptOutcome> outcomes;
+  for (std::size_t techniques = 0; techniques <= 10; techniques += 2) {
+    const double t = static_cast<double>(techniques);
+    analysis::ScriptOutcome outcome;
+    outcome.status = analysis::ScriptStatus::kOk;
+    outcome.report.status = outcome.status;
+    outcome.report.level1 = {0.0625 * t, 0.5, 0.25};
+    for (std::size_t i = 0; i < transform::kTechniqueCount; ++i) {
+      outcome.report.technique_confidence.push_back(
+          0.1 * static_cast<double>(i) + 0.01 * t);
+    }
+    for (std::size_t i = 0; i < techniques; ++i) {
+      outcome.report.techniques.push_back(transform::all_techniques()[i]);
+    }
+    outcome.timing = {1.5 + t, 0.75, 0.5, 0.25};
+    outcomes.push_back(outcome);
+  }
+  analysis::ScriptOutcome parse_error;
+  parse_error.status = analysis::ScriptStatus::kParseError;
+  parse_error.report.status = parse_error.status;
+  parse_error.error_message = "unexpected token ';' at line 1, column 5";
+  parse_error.timing = {0.125, 0.125, 0.0, 0.0};
+  outcomes.push_back(parse_error);
+  analysis::ScriptOutcome ineligible;
+  ineligible.status = analysis::ScriptStatus::kIneligibleSize;
+  ineligible.report.status = ineligible.status;
+  outcomes.push_back(ineligible);
+  return outcomes;
+}
+
+// Seeded sequences of store, hit, miss, refresh, contains and reload at
+// budgets of one to eight typical entries, memory-only and with a disk
+// tier. The oracle models the memory tier; this test models the record
+// file (the latest outcome per key, and every record in file order for a
+// reload). After every operation the cache's hits, misses, stores,
+// evictions, entries, bytes, record count and resident key set equal the
+// model's.
+TEST(ResultCacheOracle, RandomOperationsMatchListLru) {
+  const std::vector<analysis::ScriptOutcome> outcomes = synthetic_outcomes();
+  std::vector<std::string> jsons;
+  std::vector<std::size_t> sizes;
+  for (const analysis::ScriptOutcome& outcome : outcomes) {
+    jsons.push_back(analysis::wire::script_outcome_json(outcome));
+    sizes.push_back(jsons.back().size());
+  }
+  std::sort(sizes.begin(), sizes.end());
+  const std::size_t typical =
+      sizeof(analysis::CacheKey) + sizes[sizes.size() / 2];
+  const auto charge = [](const std::string& json) {
+    return sizeof(analysis::CacheKey) + json.size();
+  };
+  constexpr std::size_t kStoredKeys = 10;
+  constexpr std::size_t kAbsentKeys = 3;
+  std::vector<std::string> texts;
+  std::vector<analysis::CacheKey> keys;
+  for (std::size_t i = 0; i < kStoredKeys + kAbsentKeys; ++i) {
+    texts.push_back((i < kStoredKeys ? "oracle-" : "absent-") +
+                    std::to_string(i));
+    keys.push_back(analysis::cache_key_of(texts.back()));
+  }
+
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    for (std::size_t budget = 1; budget <= 8; ++budget) {
+      for (const bool with_disk : {false, true}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " budget " +
+                     std::to_string(budget) + (with_disk ? " disk" : ""));
+        TempDir dir;
+        const analysis::ResultCache::Config config{
+            with_disk ? dir.path : std::string(), budget * typical};
+        auto cache = std::make_unique<analysis::ResultCache>(config);
+        auto tier = std::make_unique<oracle::ListLruTier>(config.max_bytes);
+        std::map<std::size_t, std::string> disk;  // key index → latest JSON
+        std::vector<std::pair<std::size_t, std::string>> records;
+        std::uint64_t hits = 0;
+        std::uint64_t misses = 0;
+        std::uint64_t stores = 0;
+        Rng rng(seed * 1000 + budget);
+
+        const auto store = [&](std::size_t k) {
+          const std::size_t variant = rng.index(outcomes.size());
+          cache->store(texts[k], outcomes[variant]);
+          tier->insert(keys[k], jsons[variant], charge(jsons[variant]));
+          if (with_disk) {
+            disk[k] = jsons[variant];
+            records.emplace_back(k, jsons[variant]);
+          }
+          ++stores;
+        };
+        const auto lookup = [&](std::size_t k) {
+          const std::optional<analysis::ScriptOutcome> got =
+              cache->lookup(texts[k]);
+          std::optional<std::string> want;
+          if (const std::string* resident = tier->hit(keys[k])) {
+            want = *resident;
+          } else if (const auto found = disk.find(k); found != disk.end()) {
+            want = found->second;
+            tier->insert(keys[k], *want, charge(*want));  // promotion
+          }
+          if (want.has_value()) {
+            ++hits;
+          } else {
+            ++misses;
+          }
+          ASSERT_EQ(got.has_value(), want.has_value()) << texts[k];
+          if (got.has_value()) {
+            EXPECT_EQ(analysis::wire::script_outcome_json(*got), *want);
+          }
+        };
+
+        for (std::size_t step = 0; step < 150 && !HasFailure(); ++step) {
+          const std::size_t roll = rng.index(20);
+          if (roll < 6) {
+            store(rng.index(kStoredKeys));
+          } else if (roll < 13) {
+            lookup(rng.index(kStoredKeys));
+          } else if (roll < 15) {
+            lookup(kStoredKeys + rng.index(kAbsentKeys));
+          } else if (roll < 17) {
+            // Refresh: a new outcome for a key that already has one.
+            const std::size_t start = rng.index(kStoredKeys);
+            for (std::size_t j = 0; j < kStoredKeys; ++j) {
+              const std::size_t k = (start + j) % kStoredKeys;
+              if (tier->resident(keys[k]) || disk.contains(k)) {
+                store(k);
+                break;
+              }
+            }
+          } else if (roll < 19 || !with_disk) {
+            const std::size_t k = rng.index(keys.size());
+            EXPECT_EQ(cache->contains(texts[k]),
+                      tier->resident(keys[k]) || disk.contains(k))
+                << texts[k];
+          } else {
+            cache.reset();
+            cache = std::make_unique<analysis::ResultCache>(config);
+            ASSERT_TRUE(cache->load_error().empty()) << cache->load_error();
+            tier = std::make_unique<oracle::ListLruTier>(config.max_bytes);
+            for (const auto& [k, json] : records) {
+              tier->insert(keys[k], json, charge(json));
+            }
+            hits = misses = stores = 0;
+          }
+          const analysis::ResultCache::Counters counters = cache->counters();
+          ASSERT_EQ(counters.hits, hits) << "step " << step;
+          ASSERT_EQ(counters.misses, misses) << "step " << step;
+          ASSERT_EQ(counters.stores, stores) << "step " << step;
+          ASSERT_EQ(counters.evictions, tier->evictions()) << "step " << step;
+          ASSERT_EQ(counters.entries, tier->entries()) << "step " << step;
+          ASSERT_EQ(counters.bytes, tier->bytes()) << "step " << step;
+          ASSERT_EQ(counters.disk_records, disk.size()) << "step " << step;
+          for (std::size_t k = 0; k < keys.size(); ++k) {
+            ASSERT_EQ(cache->resident(keys[k]), tier->resident(keys[k]))
+                << "step " << step << " " << texts[k];
+          }
+        }
+      }
+    }
+  }
 }
 
 // --- cache-aware service path ---------------------------------------------

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <list>
+#include <map>
 #include <set>
+#include <string>
 
 #include "support/budget.h"
 #include "support/json_writer.h"
+#include "support/lru_table.h"
 #include "support/rng.h"
 #include "support/stats.h"
 #include "support/strings.h"
@@ -455,6 +460,80 @@ TEST(Budget, ResourceKindNames) {
   EXPECT_EQ(to_string(ResourceKind::kAstDepth), "ast_depth");
   EXPECT_EQ(to_string(ResourceKind::kDataflowEdges), "dataflow_edges");
   EXPECT_EQ(to_string(ResourceKind::kDeadline), "deadline");
+}
+
+// --- FlatTable / LruTable ----------------------------------------------
+
+// Folds every key onto three hash values, so keys pile up in long probe
+// runs that wrap around the index and every erase has to shift.
+struct ClumpedHash {
+  std::size_t operator()(std::uint64_t key) const { return key % 3; }
+};
+
+TEST(FlatTable, BackwardShiftKeepsEveryKeyFindable) {
+  support::FlatTable<std::uint64_t, std::uint64_t, ClumpedHash> table;
+  std::map<std::uint64_t, std::uint64_t> model;
+  Rng rng(11);
+  for (int step = 0; step < 4000; ++step) {
+    const std::uint64_t key = rng.index(64);
+    const auto id = table.find(key);
+    if (rng.bernoulli(0.6)) {
+      table[key] = key * 7 + static_cast<std::uint64_t>(step);
+      model[key] = key * 7 + static_cast<std::uint64_t>(step);
+    } else if (id != decltype(table)::kNone) {
+      table.erase(id);
+      model.erase(key);
+    }
+    ASSERT_EQ(table.size(), model.size()) << "step " << step;
+    for (std::uint64_t probe = 0; probe < 64; ++probe) {
+      const auto found = table.find(probe);
+      const auto expected = model.find(probe);
+      ASSERT_EQ(found != decltype(table)::kNone, expected != model.end())
+          << "step " << step << " key " << probe;
+      if (expected != model.end()) {
+        ASSERT_EQ(table.value(found), expected->second);
+      }
+    }
+  }
+}
+
+// Random uses, inserts and evictions against a std::list in recency
+// order; enough uses per entry that the eviction queue compacts many
+// times and entry ids are reused.
+TEST(LruTable, OldestIsExactlyLeastRecentlyUsed) {
+  support::LruTable<std::uint64_t, std::string, std::hash<std::uint64_t>> lru;
+  std::list<std::uint64_t> model;  // front = most recently used
+  Rng rng(5);
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t key = rng.index(40);
+    const auto id = lru.find(key);
+    if (id != decltype(lru)::kNone) {
+      lru.touch(id);
+      EXPECT_EQ(lru.value(id), std::to_string(key));
+      model.remove(key);
+      model.push_front(key);
+    } else {
+      if (model.size() >= 24) {
+        const auto victim = lru.oldest();
+        ASSERT_NE(victim, decltype(lru)::kNone);
+        ASSERT_EQ(lru.value(victim), std::to_string(model.back()))
+            << "step " << step;
+        lru.erase(victim);
+        model.pop_back();
+      }
+      lru.insert(key, std::to_string(key));
+      model.push_front(key);
+    }
+    ASSERT_EQ(lru.size(), model.size());
+  }
+  while (!model.empty()) {
+    const auto victim = lru.oldest();
+    ASSERT_NE(victim, decltype(lru)::kNone);
+    EXPECT_EQ(lru.value(victim), std::to_string(model.back()));
+    lru.erase(victim);
+    model.pop_back();
+  }
+  EXPECT_EQ(lru.oldest(), decltype(lru)::kNone);
 }
 
 }  // namespace
