@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "support/strings.h"
+#include "support/thread_pool.h"
 
 namespace jst::analysis {
 namespace {
@@ -104,19 +105,32 @@ PopulationSpec malware_month_spec(const PopulationSpec& base,
 std::vector<std::string> evolve_snapshot(
     const std::vector<std::string>& previous, const PopulationSpec& spec,
     double persistence, std::uint64_t seed) {
-  // Draw a full replacement set up front so slot i's refresh script does
-  // not depend on which other slots persisted — the diff between two
+  // The churn coins come first; only the slots they refresh are then
+  // simulated, each from the seed simulate_population(spec,
+  // previous.size(), seed) gives that slot. So slot i's refresh script
+  // does not depend on which other slots persisted — the diff between two
   // persistence values touches only the slots whose coin flip changed.
-  const std::vector<Sample> fresh =
-      simulate_population(spec, previous.size(), seed);
   Rng churn(seed ^ strings::fnv1a(spec.name) ^ 0x5eedf00dULL);
+  std::vector<std::size_t> refreshed;
+  for (std::size_t i = 0; i < previous.size(); ++i) {
+    if (!churn.bernoulli(persistence)) refreshed.push_back(i);
+  }
+  const std::vector<std::uint64_t> seeds =
+      population_seeds(previous.size(), seed);
+  std::vector<Sample> fresh(refreshed.size());
+  support::run_parallel(0, refreshed.size(), [&](std::size_t k) {
+    fresh[k] = simulate_script(spec, seeds[refreshed[k]]);
+  });
+
   std::vector<std::string> next;
   next.reserve(previous.size());
+  std::size_t k = 0;
   for (std::size_t i = 0; i < previous.size(); ++i) {
-    if (churn.bernoulli(persistence)) {
-      next.push_back(previous[i]);
+    // Copies, so every string is exactly sized.
+    if (k < refreshed.size() && refreshed[k] == i) {
+      next.push_back(fresh[k++].source);
     } else {
-      next.push_back(fresh[i].source);
+      next.push_back(previous[i]);
     }
   }
   return next;

@@ -228,59 +228,67 @@ std::string generate_malware_base(Rng& rng) {
   return source;
 }
 
+std::vector<std::uint64_t> population_seeds(std::size_t script_count,
+                                            std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint64_t> seeds(script_count);
+  for (std::uint64_t& script_seed : seeds) script_seed = rng.next();
+  return seeds;
+}
+
+Sample simulate_script(const PopulationSpec& spec, std::uint64_t script_seed) {
+  Rng script_rng(script_seed);
+  corpus::ProgramGenerator generator(script_seed ^ 0x77aa55ULL);
+
+  std::string base;
+  if (spec.malware) {
+    base = generate_malware_base(script_rng);
+  } else {
+    corpus::GeneratorOptions options;
+    options.flavor = spec.flavor;
+    options.min_bytes = 700 + script_rng.index(5200);
+    if (script_rng.bernoulli(0.2)) {
+      const auto snippets = corpus::seed_snippets();
+      base = std::string(snippets[script_rng.index(snippets.size())]);
+      base += "\n";
+      options.min_bytes = 600;
+      base += generator.generate(options);
+    } else {
+      base = generator.generate(options);
+    }
+  }
+
+  if (!script_rng.bernoulli(spec.transformed_rate) || spec.configs.empty()) {
+    return make_regular_sample(base);
+  }
+  std::vector<double> weights;
+  weights.reserve(spec.configs.size());
+  for (const ConfigWeight& entry : spec.configs) weights.push_back(entry.weight);
+  const ConfigWeight& chosen =
+      spec.configs[script_rng.weighted_index(weights)];
+  Sample sample = apply_configuration(base, chosen.techniques, script_rng);
+  if (script_rng.bernoulli(spec.partial_transform_rate)) {
+    // Regular head + transformed tail (e.g., hand-written glue followed
+    // by a minified library, as the paper's Alexa review observed).
+    corpus::GeneratorOptions head_options;
+    head_options.flavor = spec.flavor;
+    head_options.min_bytes = 500;
+    sample.source = generator.generate(head_options) + "\n" + sample.source;
+  }
+  return sample;
+}
+
 std::vector<Sample> simulate_population(const PopulationSpec& spec,
                                         std::size_t script_count,
                                         std::uint64_t seed) {
   // One seed per script, drawn serially; each script then simulates from
   // its own RNG + generator, so the population fans out over the thread
   // pool and is identical for any thread count.
-  Rng rng(seed);
-  std::vector<std::uint64_t> seeds(script_count);
-  for (std::uint64_t& script_seed : seeds) script_seed = rng.next();
-
-  const auto snippets = corpus::seed_snippets();
-  std::vector<double> weights;
-  weights.reserve(spec.configs.size());
-  for (const ConfigWeight& entry : spec.configs) weights.push_back(entry.weight);
-
+  const std::vector<std::uint64_t> seeds =
+      population_seeds(script_count, seed);
   std::vector<Sample> out(script_count);
   support::run_parallel(0, script_count, [&](std::size_t i) {
-    Rng script_rng(seeds[i]);
-    corpus::ProgramGenerator generator(seeds[i] ^ 0x77aa55ULL);
-
-    std::string base;
-    if (spec.malware) {
-      base = generate_malware_base(script_rng);
-    } else {
-      corpus::GeneratorOptions options;
-      options.flavor = spec.flavor;
-      options.min_bytes = 700 + script_rng.index(5200);
-      if (script_rng.bernoulli(0.2)) {
-        base = std::string(snippets[script_rng.index(snippets.size())]);
-        base += "\n";
-        options.min_bytes = 600;
-        base += generator.generate(options);
-      } else {
-        base = generator.generate(options);
-      }
-    }
-
-    if (!script_rng.bernoulli(spec.transformed_rate) || spec.configs.empty()) {
-      out[i] = make_regular_sample(base);
-      return;
-    }
-    const ConfigWeight& chosen =
-        spec.configs[script_rng.weighted_index(weights)];
-    Sample sample = apply_configuration(base, chosen.techniques, script_rng);
-    if (script_rng.bernoulli(spec.partial_transform_rate)) {
-      // Regular head + transformed tail (e.g., hand-written glue followed
-      // by a minified library, as the paper's Alexa review observed).
-      corpus::GeneratorOptions head_options;
-      head_options.flavor = spec.flavor;
-      head_options.min_bytes = 500;
-      sample.source = generator.generate(head_options) + "\n" + sample.source;
-    }
-    out[i] = std::move(sample);
+    out[i] = simulate_script(spec, seeds[i]);
   });
   return out;
 }

@@ -44,10 +44,21 @@ PopulationSpec dnc_spec();
 PopulationSpec hynek_spec();
 PopulationSpec bsi_spec();
 
-// Generates one population sample set.
+// Generates one population sample set: slot i is
+// simulate_script(spec, population_seeds(script_count, seed)[i]).
 std::vector<Sample> simulate_population(const PopulationSpec& spec,
                                         std::size_t script_count,
                                         std::uint64_t seed);
+
+// The per-slot seeds of simulate_population: the first `script_count`
+// draws of Rng(seed), one per slot, in slot order.
+std::vector<std::uint64_t> population_seeds(std::size_t script_count,
+                                            std::uint64_t seed);
+
+// One population script, built from its slot seed alone, so a caller that
+// keeps only some slots of a population (evolve_snapshot's refreshed
+// slots) builds just those.
+Sample simulate_script(const PopulationSpec& spec, std::uint64_t script_seed);
 
 // Rank effect (§IV-B1): Alexa-style populations get more transformed with
 // popularity. Returns the spec for a given rank bucket (0 = Top 1k).

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "support/error.h"
 #include "support/strings.h"
@@ -123,7 +124,12 @@ class Printer {
  public:
   explicit Printer(const CodegenOptions& options) : options_(options) {}
 
-  std::string take() { return std::move(out_); }
+  const std::string& text() const { return out_; }
+
+  std::string take() {
+    column_ = 0;
+    return std::exchange(out_, {});
+  }
 
   void emit_program(const Node& node) {
     for (const Node* statement : node.kids) {
@@ -1070,20 +1076,30 @@ class Printer {
   int indent_ = 0;
 };
 
+// Length of `out` without its trailing blank space.
+std::size_t content_length(const std::string& out) {
+  std::size_t length = out.size();
+  while (length > 0 && (out[length - 1] == ' ' || out[length - 1] == '\n')) {
+    --length;
+  }
+  return length;
+}
+
+// Normalize: strip trailing blank space, ensure single trailing newline in
+// pretty mode.
+std::string normalized(std::string out, const CodegenOptions& options) {
+  out.resize(content_length(out));
+  if (!options.minify && !out.empty()) out += '\n';
+  return out;
+}
+
 }  // namespace jst::(anonymous)
 
 std::string generate(const Node* root, const CodegenOptions& options) {
   if (root == nullptr) return "";
   Printer printer(options);
   printer.emit_any(*root);
-  std::string out = printer.take();
-  // Normalize: strip trailing blank space, ensure single trailing newline in
-  // pretty mode.
-  while (!out.empty() && (out.back() == ' ' || out.back() == '\n')) {
-    out.pop_back();
-  }
-  if (!options.minify && !out.empty()) out += '\n';
-  return out;
+  return normalized(printer.take(), options);
 }
 
 std::string to_source(const Node* root) { return generate(root, {}); }
@@ -1092,6 +1108,31 @@ std::string to_minified_source(const Node* root) {
   CodegenOptions options;
   options.minify = true;
   return generate(root, options);
+}
+
+struct ProgramPrinter::State {
+  explicit State(const CodegenOptions& options)
+      : options(options), printer(this->options) {}
+  CodegenOptions options;
+  Printer printer;  // holds a reference to `options`
+};
+
+ProgramPrinter::ProgramPrinter(const CodegenOptions& options)
+    : state_(std::make_unique<State>(options)) {}
+
+ProgramPrinter::~ProgramPrinter() = default;
+
+void ProgramPrinter::append(const Node& statement) {
+  state_->printer.emit_any(statement);
+}
+
+std::size_t ProgramPrinter::size() const {
+  const std::size_t length = content_length(state_->printer.text());
+  return length > 0 && !state_->options.minify ? length + 1 : length;
+}
+
+std::string ProgramPrinter::take() {
+  return normalized(state_->printer.take(), state_->options);
 }
 
 }  // namespace jst

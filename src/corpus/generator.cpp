@@ -602,25 +602,18 @@ std::string ProgramGenerator::generate(const GeneratorOptions& options) {
   scopes_.clear();
   push_scope();
 
-  Node* program = ast.make(NodeKind::kProgram);
-  ast.set_root(program);
-
-  std::string printed;
-  std::size_t items = 0;
-  // Keep appending top-level items until the printed source is big enough.
-  while (items < kMaxTopLevelItems) {
-    ast_->push_kid(program, gen_top_level_item(options));
-    ++items;
-    if (items >= 3) {
-      printed = to_source(program);
-      if (printed.size() >= options.min_bytes) break;
-    }
+  // Keep appending top-level items until the printed source is big
+  // enough. Each item is printed once, as it is made: the printer's size
+  // is what to_source of the program so far would return.
+  ProgramPrinter printer;
+  for (std::size_t items = 1; items <= kMaxTopLevelItems; ++items) {
+    printer.append(*gen_top_level_item(options));
+    if (items >= 3 && printer.size() >= options.min_bytes) break;
   }
-  if (printed.empty()) printed = to_source(program);
 
   pop_scope();
   ast_ = nullptr;
-  return inject_comments(printed, options);
+  return inject_comments(printer.take(), options);
 }
 
 }  // namespace jst::corpus

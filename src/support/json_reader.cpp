@@ -23,6 +23,12 @@ const std::map<std::string, JsonValue>& empty_object() {
   return empty;
 }
 
+// A quote, a backslash or a control byte: the bytes a string's plain run
+// stops at.
+bool ends_string_run(char c) {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -157,19 +163,20 @@ class Parser {
     }
     std::string out;
     while (pos_ < text_.size()) {
+      // Copy the run of plain bytes up to the next quote, backslash or
+      // control byte in one append.
+      const std::size_t run_start = pos_;
+      while (pos_ < text_.size() && !ends_string_run(text_[pos_])) ++pos_;
+      out.append(text_.data() + run_start, pos_ - run_start);
+      if (pos_ == text_.size()) break;
       const char c = text_[pos_];
       if (c == '"') {
         ++pos_;
         return out;
       }
-      if (static_cast<unsigned char>(c) < 0x20) {
+      if (c != '\\') {
         fail("unescaped control character in string");
         return std::nullopt;
-      }
-      if (c != '\\') {
-        out.push_back(c);
-        ++pos_;
-        continue;
       }
       ++pos_;  // backslash
       if (pos_ >= text_.size()) break;

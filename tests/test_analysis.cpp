@@ -9,6 +9,7 @@
 #include "analysis/longitudinal.h"
 #include "analysis/wild.h"
 #include "parser/parser.h"
+#include "support/snapshot_oracle.h"
 
 namespace jst::analysis {
 namespace {
@@ -221,6 +222,38 @@ TEST(Longitudinal, MalwareWavesVary) {
     max_rate = std::max(max_rate, rate);
   }
   EXPECT_GT(max_rate - min_rate, 0.08);  // strong monthly variation
+}
+
+TEST(Longitudinal, EvolveSnapshotMatchesFullDrawOracle) {
+  // Refreshed-slot evolution against the full-draw form: same scripts in
+  // the same slots, each string sized as the oracle's copy is, over the
+  // Alexa, npm and malware month specs at the persistence extremes and
+  // between them.
+  const std::vector<PopulationSpec (*)(std::size_t)> months = {
+      alexa_month_spec, npm_month_spec,
+      [](std::size_t m) { return malware_month_spec(dnc_spec(), m); }};
+  for (const auto month_spec : months) {
+    std::vector<std::string> previous;
+    for (const Sample& sample : simulate_population(month_spec(4), 24, 11)) {
+      previous.push_back(sample.source);
+    }
+    const PopulationSpec spec = month_spec(5);
+    for (const double persistence : {0.0, 0.3, 0.7, 1.0}) {
+      for (const std::uint64_t seed : {1ULL, 42ULL, 0x5eedULL}) {
+        const std::vector<std::string> next =
+            evolve_snapshot(previous, spec, persistence, seed);
+        const std::vector<std::string> expected =
+            oracle::full_draw_evolve_snapshot(previous, spec, persistence,
+                                              seed);
+        ASSERT_EQ(next, expected) << spec.name << " persistence "
+                                  << persistence << " seed " << seed;
+        for (std::size_t i = 0; i < next.size(); ++i) {
+          EXPECT_EQ(next[i].capacity(), expected[i].capacity())
+              << spec.name << " slot " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(Detector, Level1RejectsWrongLabelWidth) {

@@ -1058,8 +1058,38 @@ TEST(ResultCache, ConcurrentHitsStoresAndEvictionsStayByteIdentical) {
       });
     }
     for (std::thread& thread : threads) thread.join();
+    // Whether a lookup above hits depends on the interleaving: one entry
+    // fits, and a thread never looks up the key it stored last. So every
+    // pass ends with hits that cannot miss: all threads look up one hot
+    // key while thread 0 keeps storing it again, and a store displaces
+    // only its own key's entry.
+    const std::string hot = "concurrent-hot";
+    cache.store(hot, outcomes[0]);
+    std::atomic<std::size_t> hot_misses{0};
+    threads.clear();
+    for (std::size_t t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t round = 0; round < 200; ++round) {
+          if (t == 0 && round % 2 == 0) {
+            cache.store(hot, outcomes[0]);
+            continue;
+          }
+          const std::optional<analysis::ScriptOutcome> hit = cache.lookup(hot);
+          if (!hit.has_value()) {
+            ++hot_misses;
+            continue;
+          }
+          ++hits;
+          if (analysis::wire::script_outcome_json(*hit) != expected[0]) {
+            ++wrong;
+          }
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
     const analysis::ResultCache::Counters counters = cache.counters();
     EXPECT_EQ(wrong.load(), 0u) << "with_disk=" << with_disk;
+    EXPECT_EQ(hot_misses.load(), 0u) << "with_disk=" << with_disk;
     EXPECT_GT(hits.load(), 0u);
     EXPECT_GT(counters.evictions, 0u);
     EXPECT_LE(counters.bytes, budget);

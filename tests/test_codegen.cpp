@@ -215,5 +215,65 @@ TEST(Codegen, GeneratedSubtreePrinting) {
   EXPECT_EQ(to_minified_source(call), "console.log(\"hi\",3)");
 }
 
+// Appending a program's statements one at a time into one ProgramPrinter
+// must give what generate() prints for the program prefix so far: its
+// size() after every statement, and take() after the last.
+void expect_appends_equal_reprint(std::string_view source,
+                                  const CodegenOptions& options) {
+  ParseResult result = parse_program(source);
+  const std::vector<Node*> statements(result.ast.root()->kids.begin(),
+                                      result.ast.root()->kids.end());
+  ASSERT_FALSE(statements.empty());
+  ProgramPrinter printer(options);
+  for (std::size_t k = 1; k <= statements.size(); ++k) {
+    printer.append(*statements[k - 1]);
+    Node* prefix = result.ast.make(NodeKind::kProgram);
+    result.ast.assign_kids(prefix, statements.begin(),
+                           statements.begin() + static_cast<std::ptrdiff_t>(k));
+    EXPECT_EQ(printer.size(), generate(prefix, options).size())
+        << "after statement " << k << " of: " << source;
+  }
+  EXPECT_EQ(printer.take(), generate(result.ast.root(), options))
+      << "of: " << source;
+}
+
+TEST(ProgramPrinter, AppendedStatementsEqualWholeProgramPrint) {
+  const std::string_view source =
+      "var total = 0;\n"
+      "(function () { total++; })();\n"
+      "[1, 2, 3].forEach(function (n) { total += n; });\n"
+      "`total ${total}`.trim();\n"
+      "/ab+c/.test(label);\n"
+      "total++;\n"
+      "+total;\n"
+      "total--;\n"
+      "-total;\n"
+      "x = a - -b + +c;\n"
+      "(class Widget {});\n"
+      "({ a: 1, b: [2] }).a;\n"
+      "({ key: value });\n"
+      "function wrap(v) { if (v) { return -v; } else { return +v; } }\n"
+      "class Base { constructor() { this.x = 1; } }\n"
+      "for (var i = 0; i < 3; i++) { total -= i; }\n";
+  expect_appends_equal_reprint(source, {});
+  CodegenOptions minify;
+  minify.minify = true;
+  expect_appends_equal_reprint(source, minify);
+  CodegenOptions wrapped = minify;
+  wrapped.minified_line_limit = 24;
+  expect_appends_equal_reprint(source, wrapped);
+}
+
+TEST(ProgramPrinter, StartsEmptyAndTakeEmptiesIt) {
+  ProgramPrinter printer;
+  EXPECT_EQ(printer.size(), 0u);
+  EXPECT_EQ(printer.take(), "");
+  ParseResult result = parse_program("a();");
+  printer.append(*result.ast.root()->kids[0]);
+  EXPECT_EQ(printer.size(), 5u);
+  EXPECT_EQ(printer.take(), "a();\n");
+  EXPECT_EQ(printer.size(), 0u);
+}
+
 }  // namespace
 }  // namespace jst

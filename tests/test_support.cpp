@@ -8,6 +8,7 @@
 #include <string>
 
 #include "support/budget.h"
+#include "support/json_reader.h"
 #include "support/json_writer.h"
 #include "support/lru_table.h"
 #include "support/rng.h"
@@ -326,6 +327,47 @@ TEST(JsonWriter, NonFiniteBecomesNull) {
   w.value(std::nan(""));
   w.end_array();
   EXPECT_EQ(w.str(), "[null]");
+}
+
+// --- JSON string decoding ----------------------------------------------
+
+// The decoded string of a one-string document, or the parse error.
+std::string decoded(std::string_view document) {
+  std::string error;
+  const std::optional<support::JsonValue> value =
+      support::parse_json(document, &error);
+  if (!value.has_value()) return "error: " + error;
+  return value->as_string();
+}
+
+TEST(JsonReader, RunEndsAtEscape) {
+  EXPECT_EQ(decoded("\"plain run\\\"quoted\\\\ tail\\n\""),
+            "plain run\"quoted\\ tail\n");
+  EXPECT_EQ(decoded("\"\\t\\/\""), "\t/");  // escapes with no run between
+  EXPECT_EQ(decoded("\"\""), "");
+}
+
+TEST(JsonReader, RunEndsAtControlByteStillRejected) {
+  const std::string document = "\"" + std::string(40, 'a') + "\x01tail\"";
+  EXPECT_EQ(decoded(document),
+            "error: offset 41: unescaped control character in string");
+  EXPECT_EQ(decoded("\"line\nbreak\""),
+            "error: offset 5: unescaped control character in string");
+}
+
+TEST(JsonReader, RunEndsAtEndOfInputStillRejected) {
+  const std::string document = "\"" + std::string(64, 'z');
+  EXPECT_EQ(decoded(document), "error: offset 65: unterminated string");
+  EXPECT_EQ(decoded("\"ends in a backslash\\"),
+            "error: offset 21: unterminated string");
+}
+
+TEST(JsonReader, UnicodeEscapeAfterLongRun) {
+  const std::string run(4096, 'r');
+  EXPECT_EQ(decoded("\"" + run + "\\u00e9\\u4e2d" + run + "\""),
+            run + "\xc3\xa9\xe4\xb8\xad" + run);
+  EXPECT_EQ(decoded("\"" + run + "\\u00g9\""),
+            "error: offset 4099: invalid hex digit in \\u escape");
 }
 
 // --- Budget ------------------------------------------------------------
