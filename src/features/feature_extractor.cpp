@@ -48,6 +48,7 @@ const std::vector<float>& extract_into(const ScriptAnalysis& analysis,
   const bool want_ngrams = config.use_ngrams && hash_dim > 0;
 
   ExtractCounters& counters = scratch.counters;
+  support::AtomTable& atoms = analysis.parse.ast.atoms();
   if (want_handpicked) {
     counters.reset();
     scratch.level_counts.clear();
@@ -64,7 +65,7 @@ const std::vector<float>& extract_into(const ScriptAnalysis& analysis,
         root, scratch.walk_stack,
         [&](const Node& node, std::size_t depth) {
           if (want_handpicked) {
-            gather_handpicked(node, counters);
+            gather_handpicked(node, atoms, counters);
             if (depth > max_depth) max_depth = depth;
             const std::size_t level = depth - 1;
             if (level >= scratch.level_counts.size()) {

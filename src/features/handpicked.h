@@ -27,8 +27,10 @@ const std::vector<std::string>& handpicked_feature_names();
 
 // Per-node counter update, driven by the single-pass extractor
 // (feature_extractor.cpp) from its own walk. Must be called once per node
-// in pre-order.
-void gather_handpicked(const Node& node, ExtractCounters& counters);
+// in pre-order. `atoms` is the node's Ast's atom table; an identifier
+// node without an atom is interned into it.
+void gather_handpicked(const Node& node, support::AtomTable& atoms,
+                       ExtractCounters& counters);
 
 // Assembles the hand-picked feature block from gathered counters plus the
 // tree depth/breadth, appending handpicked_feature_names().size() values

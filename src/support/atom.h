@@ -9,9 +9,11 @@
 // lexer has just produced the bytes: Node carries the atom, and every
 // later scope operation is integer indexing.
 //
-// Same table discipline as features::IdentifierSet: open addressing with
-// linear probing over a power-of-two slot array, FNV-1a hashing,
-// byte-exact comparison on hash hits, O(1) epoch clear(). The interned
+// Open addressing with linear probing over a power-of-two slot array,
+// FNV-1a hashing, byte-exact comparison on hash hits, O(1) epoch clear().
+// Because ids are dense, per-atom state elsewhere is a plain array indexed
+// by atom (the data-flow scope tops, the feature extractor's count of
+// distinct identifiers). The interned
 // views alias the AST arena (Ast::intern copies the bytes there first),
 // so a table pooled across scripts must be clear()ed exactly when the
 // arena is reset — parse_program does both together.
