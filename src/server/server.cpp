@@ -438,8 +438,10 @@ void Server::handle_request(Connection& connection,
     return;
   }
 
-  const ResourceLimits& limits =
-      request.limits.has_value() ? *request.limits : config_.default_limits;
+  // The effective limits are resolved once, onto the request the worker
+  // will own: process_request only subtracts the queue wait from them.
+  if (!request.limits.has_value()) request.limits = config_.default_limits;
+  const ResourceLimits& limits = *request.limits;
 
   // Resolve a content-hash reference against the registry before
   // admission, so an unresolvable request never occupies queue space.
@@ -530,7 +532,7 @@ void Server::handle_request(Connection& connection,
 }
 
 void Server::process_request(
-    Connection& connection, const analysis::AnalyzeRequest& request,
+    Connection& connection, analysis::AnalyzeRequest& request,
     std::uint64_t source_digest,
     std::chrono::steady_clock::time_point admitted_at,
     std::size_t depth_at_admission) {
@@ -545,8 +547,7 @@ void Server::process_request(
                      static_cast<double>(depth_at_admission));
 
   analysis::AnalyzeResponse response;
-  ResourceLimits limits =
-      request.limits.has_value() ? *request.limits : config_.default_limits;
+  ResourceLimits& limits = *request.limits;  // resolved by handle_request
   const bool deadline_elapsed_in_queue =
       limits.deadline_ms > 0.0 && queue_ms >= limits.deadline_ms;
   if (deadline_elapsed_in_queue) {
@@ -570,16 +571,10 @@ void Server::process_request(
     maybe_dump_flight_on_shed_burst();
   } else {
     const auto picked_up = std::chrono::steady_clock::now();
-    if (limits.deadline_ms > 0.0) {
-      // The deadline is end-to-end: the analysis Budget gets whatever the
-      // queue wait left over.
-      limits.deadline_ms -= queue_ms;
-      analysis::AnalyzeRequest governed = request;
-      governed.limits = limits;
-      response = service_->analyze(governed, {}, source_digest);
-    } else {
-      response = service_->analyze(request, limits, source_digest);
-    }
+    // The deadline is end-to-end: the analysis Budget gets whatever the
+    // queue wait left over.
+    if (limits.deadline_ms > 0.0) limits.deadline_ms -= queue_ms;
+    response = service_->analyze(request, {}, source_digest);
     if (config_.min_service_ms > 0.0) {
       const double remaining = config_.min_service_ms - elapsed_ms(picked_up);
       if (remaining > 0.0) {

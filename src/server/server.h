@@ -167,8 +167,10 @@ class Server {
   void serve_connection(Connection& connection);
   void handle_line(Connection& connection, const std::string& line);
   void handle_request(Connection& connection, analysis::AnalyzeRequest request);
+  // Runs one admitted request on a pool lane. `request` carries its
+  // effective limits; the deadline is reduced by the queue wait in place.
   void process_request(Connection& connection,
-                       const analysis::AnalyzeRequest& request,
+                       analysis::AnalyzeRequest& request,
                        std::uint64_t source_digest,
                        std::chrono::steady_clock::time_point admitted_at,
                        std::size_t depth_at_admission);

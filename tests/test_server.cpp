@@ -881,6 +881,37 @@ TEST_F(ServerFixture, DeadlineElapsedInQueueShedsAtPickup) {
   EXPECT_EQ(overloaded.load(), kClients - 1);
 }
 
+// A governed request that is admitted and served gets the outcome the
+// in-process service gives the same request: the queue wait only shortens
+// the deadline, and every other ceiling applies as sent (the tight token
+// ceiling trips in both places).
+TEST_F(ServerFixture, GovernedRequestMatchesInProcessOutcome) {
+  StartServer("governed", server::ServerConfig{});
+  server::Client client(daemon_->socket_path());
+  ResourceLimits roomy = ResourceLimits::production();
+  ResourceLimits tight = roomy;
+  tight.max_tokens = 50;
+  const std::vector<std::string> corpus = seed_corpus();
+  for (const bool tripped : {false, true}) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      analysis::AnalyzeRequest request =
+          analysis::AnalyzeRequest::for_source(corpus[i], std::to_string(i));
+      request.limits = tripped ? tight : roomy;
+      const auto served = client.call(request);
+      ASSERT_TRUE(served.ok()) << served.error;
+      std::string error;
+      const auto expected = analysis::wire::parse_analyze_response(
+          service_->analyze(request).to_json(), &error);
+      ASSERT_TRUE(expected.has_value()) << error;
+      EXPECT_EQ(served.outcome_status, tripped ? "budget_tokens" : "ok");
+      EXPECT_EQ(served.outcome_status, expected->outcome_status);
+      EXPECT_EQ(strip_timing(support::to_json(served.outcome)),
+                strip_timing(support::to_json(expected->outcome)));
+    }
+  }
+  EXPECT_EQ(daemon_->stats().requests_shed, 0u);
+}
+
 // --- observability ops and request-id plumbing (DESIGN.md §14) -------------
 
 TEST_F(ServerFixture, ServerMintsOrEchoesRequestId) {
