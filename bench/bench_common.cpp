@@ -87,6 +87,8 @@ std::string write_bench_json(std::string_view bench,
       writer.key("tokens_per_second"); writer.value(record.tokens_per_second);
       writer.key("parse_ms"); writer.value(record.parse_ms);
       writer.key("peak_arena_bytes"); writer.value(record.peak_arena_bytes);
+      writer.key("frontend_ns_per_byte");
+      writer.value(record.frontend_ns_per_byte);
     }
     if (record.latency_p50_ms > 0.0) {
       writer.key("latency_p50_ms"); writer.value(record.latency_p50_ms);

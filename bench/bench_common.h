@@ -68,12 +68,14 @@ struct BenchRecord {
   double mb_per_second = 0.0;
   // Optional token and parse measurements (bench_lexer): tokens per
   // pass and their rate over the tokenize-only pass, the parse-only time,
-  // and the pooled front-end arena's peak bytes. Emitted only when
+  // the pooled front-end arena's peak bytes, and the whole front end's
+  // (tokenize + parse) nanoseconds per input byte. Emitted only when
   // tokens > 0.
   std::size_t tokens = 0;
   double tokens_per_second = 0.0;
   double parse_ms = 0.0;
   std::size_t peak_arena_bytes = 0;
+  double frontend_ns_per_byte = 0.0;
 };
 
 // Writes `BENCH_<bench>.json` — {"bench":…,"scale":…,"results":[…]} —

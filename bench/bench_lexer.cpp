@@ -10,7 +10,9 @@
 // is the cost), string-heavy sources spend almost all bytes inside
 // literal payloads (the string payload run), and plain sources mix
 // identifiers, comments, and indentation (identifier, whitespace and
-// line-comment runs).
+// line-comment runs). The `nested_template` families nest templates 4,
+// 16 and 64 deep: each substitution's tokens should be lexed once, so the
+// front end's ns/byte should not grow with the depth.
 //
 // Emits BENCH_lexer.json via bench_common so the per-family trajectory
 // is recorded across PRs.
@@ -133,6 +135,29 @@ Family string_heavy_family(std::size_t count) {
   return make_family("string_heavy", std::move(sources));
 }
 
+// Templates nested `depth` deep, each level with a 64-byte quasi on both
+// sides of its substitution, in sources of about 32 KiB.
+Family nested_template_family(std::size_t depth, std::size_t count) {
+  const std::string quasi =
+      "the quick brown fox jumps over the lazy dog, then naps in the sun ";
+  std::string nested;
+  for (std::size_t i = 0; i < depth; ++i) {
+    nested += "`" + quasi.substr(0, 64) + "${";
+  }
+  nested += "x";
+  for (std::size_t i = 0; i < depth; ++i) {
+    nested += "}" + quasi.substr(0, 64) + "`";
+  }
+  std::vector<std::string> sources(count);
+  for (std::string& source : sources) {
+    for (int i = 0; source.size() < 32 * 1024; ++i) {
+      source += "var t" + std::to_string(i) + " = " + nested + ";\n";
+    }
+  }
+  return make_family("nested_template,depth=" + std::to_string(depth),
+                     std::move(sources));
+}
+
 double ms_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
@@ -201,10 +226,14 @@ int main() {
   families.push_back(jsfuck_family(count));
   families.push_back(jsfuck_tail_family(4));
   families.push_back(string_heavy_family(count));
+  for (const std::size_t depth : {4u, 16u, 64u}) {
+    families.push_back(nested_template_family(depth, count / 3));
+  }
 
   std::printf("lexer and parser throughput (best of 5, serial)\n");
-  std::printf("%-14s %8s %10s %10s %12s %10s %12s\n", "family", "bytes",
-              "lex_ms", "MB/s", "tokens/s", "parse_ms", "peak_arena");
+  std::printf("%-26s %8s %10s %10s %12s %10s %12s %8s\n", "family",
+              "bytes", "lex_ms", "MB/s", "tokens/s", "parse_ms",
+              "peak_arena", "ns/byte");
 
   std::vector<bench::BenchRecord> records;
   for (const Family& family : families) {
@@ -216,9 +245,11 @@ int main() {
         static_cast<double>(tokens) / (ms / 1000.0);
     std::size_t peak_arena_bytes = 0;
     const double parse_ms = measure_parse_ms(family, peak_arena_bytes);
-    std::printf("%-14s %8zu %10.3f %10.1f %12.0f %10.3f %12zu\n",
+    const double ns_per_byte =
+        (ms + parse_ms) * 1e6 / static_cast<double>(family.bytes);
+    std::printf("%-26s %8zu %10.3f %10.1f %12.0f %10.3f %12zu %8.1f\n",
                 family.name.c_str(), family.bytes, ms, mbps,
-                tokens_per_second, parse_ms, peak_arena_bytes);
+                tokens_per_second, parse_ms, peak_arena_bytes, ns_per_byte);
 
     bench::BenchRecord record;
     record.config = "family=" + family.name;
@@ -233,6 +264,7 @@ int main() {
     record.tokens_per_second = tokens_per_second;
     record.parse_ms = parse_ms;
     record.peak_arena_bytes = peak_arena_bytes;
+    record.frontend_ns_per_byte = ns_per_byte;
     records.push_back(std::move(record));
   }
 
