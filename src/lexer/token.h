@@ -10,9 +10,14 @@
 // dispatches on. The raw slice points into the arena-stable copy of the
 // source, so a Token is trivially copyable and never owns memory. Payloads
 // that most tokens do not need — cooked text where unescaping changed it,
-// numeric values, regex flags and template parts — are recomputed from
+// numeric values, regex flags and template text — are recomputed from
 // the raw slice on demand (lexer.h: token_value, numeric_value,
-// regex_flags, template_parts).
+// regex_flags, template_text).
+//
+// As in Esprima, a template with substitutions is several kTemplate
+// tokens — a head `a${, a middle }b${ per further substitution, a tail
+// }c` — with each substitution's own tokens between them; a template
+// without substitutions is one token.
 #pragma once
 
 #include <array>
@@ -29,7 +34,7 @@ enum class TokenType : std::uint8_t {
   kNullLiteral,     // null
   kNumericLiteral,  // 42, 0x2a, 3.14e-2, 0b101, 0o17
   kStringLiteral,   // 'a', "b"
-  kTemplate,        // `text ${expr} text` (whole literal, one token)
+  kTemplate,        // `text`, or a head `a${, middle }b${ or tail }c`
   kRegularExpression,
   kPunctuator,      // { } ( ) + === => ...
   kEndOfFile,

@@ -267,9 +267,9 @@ TEST(HostileInputs, BudgetDepthTripsBeforeParserHardGuard) {
 }
 
 TEST(HostileInputs, DeepTemplateNestingHitsTheRecursionGuard) {
-  // Each nested template is parsed by a sub-parser; the nesting counts
-  // toward the same guards as brackets do, so 10 000 levels fail cleanly
-  // instead of overflowing the stack.
+  // Each nested template's substitution is parsed in place; the nesting
+  // counts toward the same guards as brackets do, so 10 000 levels fail
+  // cleanly instead of overflowing the stack.
   const std::string source = hostile::deep_template(10000);
   try {
     parse_program(source);
@@ -283,6 +283,17 @@ TEST(HostileInputs, DeepTemplateNestingHitsTheRecursionGuard) {
   const analysis::ScriptOutcome governed =
       analyze_source(service, source, ResourceLimits::production());
   EXPECT_EQ(governed.status, analysis::ScriptStatus::kBudgetDepth);
+}
+
+TEST(HostileInputs, DeepTemplateChargesOneBudgetTokenPerToken) {
+  // Substitutions are lexed once, in the one token stream, so the budget
+  // is charged once per stream token plus once for the EOF token: 3 for
+  // `var t =`, 200 heads, `1`, 200 tails and `;`.
+  Budget budget(ResourceLimits::production());
+  const ParseResult result =
+      parse_program(hostile::deep_template(200), &budget);
+  EXPECT_EQ(result.tokens.size(), 405u);
+  EXPECT_EQ(budget.tokens_charged(), result.tokens.size() + 1);
 }
 
 TEST(HostileInputs, DataflowCeilingDegradesButStillPredicts) {

@@ -23,8 +23,14 @@ std::string_view value(const Token& token) {
   return token_value(token, test_arena());
 }
 
-TemplateParts parts(const Token& token) {
-  return template_parts(token, test_arena());
+// Raw text of every token, joined with '|'.
+std::string raws(std::string_view source) {
+  std::string joined;
+  for (const Token& token : lex(source)) {
+    if (!joined.empty()) joined += '|';
+    joined += token.raw;
+  }
+  return joined;
 }
 
 TEST(Lexer, EmptyInput) {
@@ -95,54 +101,74 @@ TEST(Lexer, TemplateLiteralSimple) {
   const auto tokens = lex("`hello`");
   ASSERT_EQ(tokens.size(), 1u);
   EXPECT_EQ(tokens[0].type, TokenType::kTemplate);
-  ASSERT_EQ(parts(tokens[0]).quasis.size(), 1u);
-  EXPECT_EQ(parts(tokens[0]).quasis[0], "hello");
-  EXPECT_TRUE(parts(tokens[0]).expressions.empty());
+  EXPECT_TRUE(opens_template(tokens[0]));
+  EXPECT_TRUE(closes_template(tokens[0]));
+  EXPECT_EQ(template_text(tokens[0]), "hello");
 }
 
 TEST(Lexer, TemplateLiteralWithSubstitutions) {
+  // A head, a middle and a tail, with each substitution's own tokens
+  // in between.
   const auto tokens = lex("`a ${x + 1} b ${y} c`");
-  ASSERT_EQ(tokens.size(), 1u);
-  ASSERT_EQ(parts(tokens[0]).quasis.size(), 3u);
-  ASSERT_EQ(parts(tokens[0]).expressions.size(), 2u);
-  EXPECT_EQ(parts(tokens[0]).quasis[0], "a ");
-  EXPECT_EQ(parts(tokens[0]).expressions[0], "x + 1");
-  EXPECT_EQ(parts(tokens[0]).expressions[1], "y");
+  ASSERT_EQ(tokens.size(), 7u);
+  for (const std::size_t i : {0u, 4u, 6u}) {
+    EXPECT_EQ(tokens[i].type, TokenType::kTemplate) << i;
+  }
+  EXPECT_EQ(tokens[0].raw, "`a ${");
+  EXPECT_TRUE(opens_template(tokens[0]));
+  EXPECT_FALSE(closes_template(tokens[0]));
+  EXPECT_EQ(tokens[4].raw, "} b ${");
+  EXPECT_FALSE(opens_template(tokens[4]));
+  EXPECT_FALSE(closes_template(tokens[4]));
+  EXPECT_EQ(tokens[6].raw, "} c`");
+  EXPECT_FALSE(opens_template(tokens[6]));
+  EXPECT_TRUE(closes_template(tokens[6]));
+  EXPECT_EQ(template_text(tokens[0]), "a ");
+  EXPECT_EQ(template_text(tokens[4]), " b ");
+  EXPECT_EQ(template_text(tokens[6]), " c");
+  EXPECT_EQ(raws("`a ${x + 1} b ${y} c`"), "`a ${|x|+|1|} b ${|y|} c`");
 }
 
 TEST(Lexer, TemplateWithNestedBraces) {
-  const auto tokens = lex("`v: ${ {a: {b: 1}}.a.b }`");
-  ASSERT_EQ(tokens.size(), 1u);
-  ASSERT_EQ(parts(tokens[0]).expressions.size(), 1u);
-  EXPECT_EQ(parts(tokens[0]).expressions[0], " {a: {b: 1}}.a.b ");
+  // Braces opened in a substitution close there; the unmatched '}'
+  // resumes the template.
+  EXPECT_EQ(raws("`v: ${ {a: {b: 1}}.a.b }`"),
+            "`v: ${|{|a|:|{|b|:|1|}|}|.|a|.|b|}`");
 }
 
 TEST(Lexer, TemplateWithStringContainingBrace) {
-  const auto tokens = lex("`x ${ f(\"}\") } y`");
-  ASSERT_EQ(tokens.size(), 1u);
-  ASSERT_EQ(parts(tokens[0]).expressions.size(), 1u);
-  EXPECT_EQ(parts(tokens[0]).expressions[0], " f(\"}\") ");
+  EXPECT_EQ(raws("`x ${ f(\"}\") } y`"), "`x ${|f|(|\"}\"|)|} y`");
 }
 
 TEST(Lexer, TemplateNestedSubstitutions) {
-  // Nested levels balance braces, skip strings and escapes whole, and
-  // drop comments like the outermost substitution does.
+  // Nested levels balance braces, lex strings, escapes and comments with
+  // the ordinary scanners, and close only on their own '}'.
   const std::pair<std::string_view, std::string_view> cases[] = {
-      {"`a${`b${ {c: 1}.c }`}`", "`b${ {c: 1}.c }`"},
-      {"`a${`b${\"}\"}`}`", "`b${\"}\"}`"},
-      {"`a${`\\`${'{'}`}`", "`\\`${'{'}`"},
-      {"`a${`b${x /* } */}`}`", "`b${x }`"},
-      {"`a${x // }\n}`", "x \n"},
+      {"`a${`b${ {c: 1}.c }`}`", "`a${|`b${|{|c|:|1|}|.|c|}`|}`"},
+      {"`a${`b${\"}\"}`}`", "`a${|`b${|\"}\"|}`|}`"},
+      {"`a${`\\`${'{'}`}`", "`a${|`\\`${|'{'|}`|}`"},
+      {"`a${`b${x /* } */}`}`", "`a${|`b${|x|}`|}`"},
+      {"`a${x // }\n}`", "`a${|x|}`"},
   };
-  for (const auto& [source, expression] : cases) {
-    const auto tokens = lex(source);
-    ASSERT_EQ(tokens.size(), 1u) << source;
-    ASSERT_EQ(parts(tokens[0]).expressions.size(), 1u) << source;
-    EXPECT_EQ(parts(tokens[0]).expressions[0], expression) << source;
+  for (const auto& [source, expected] : cases) {
+    EXPECT_EQ(raws(source), expected) << source;
   }
   EXPECT_THROW(lex("`a${`b"), ParseError);
   EXPECT_THROW(lex("`a${`b${c"), ParseError);
   EXPECT_THROW(lex("`a${`b${c}`"), ParseError);
+}
+
+TEST(Lexer, RegexInTemplateSubstitution) {
+  // A head ends in an expression start, so '/' there begins a regex; a
+  // tail ends an expression, so '/' after it divides.
+  const auto tokens = lex("`${ /}/.test(s) }` / 2; `${/'/}`");
+  ASSERT_EQ(tokens.size(), 14u);
+  EXPECT_EQ(tokens[1].type, TokenType::kRegularExpression);
+  EXPECT_EQ(tokens[1].raw, "/}/");
+  EXPECT_EQ(tokens[7].raw, "}`");
+  EXPECT_EQ(tokens[8].type, TokenType::kPunctuator);
+  EXPECT_EQ(tokens[12].type, TokenType::kRegularExpression);
+  EXPECT_EQ(tokens[12].raw, "/'/");
 }
 
 TEST(Lexer, RegexAfterOperator) {
