@@ -121,7 +121,9 @@ TEST(Ngram, DifferentStructureDiffers) {
 // bits of the block for a fixed set of generated programs, their
 // minified forms, and a tree too small for one n-gram window. Captured
 // from the standalone multi-walk hand-picked and n-gram extractors that
-// preceded the single-pass extract_into.
+// preceded the single-pass extract_into; the hand-picked one again when
+// template heads, middles and tails became tokens of their own (the
+// token statistics moved).
 std::vector<std::string> pinned_sources() {
   corpus::ProgramGenerator generator(31);
   std::vector<std::string> sources;
@@ -143,7 +145,7 @@ TEST(FeatureBlocks, HandpickedBlockPinned) {
   for (const std::string& source : pinned_sources()) {
     append_block(bits, handpicked_block(analyze_script(source)));
   }
-  EXPECT_EQ(strings::fnv1a(bits), 0x2e63e433444f51b7ull);
+  EXPECT_EQ(strings::fnv1a(bits), 0x16078d24a2531947ull);
 }
 
 TEST(FeatureBlocks, NgramBlockPinned) {
