@@ -447,7 +447,7 @@ ScriptOutcome TransformationAnalyzer::analyze_outcome(
       analysis_options.cfg_scratch = &scratch.extract.cfg;
       analysis_options.arena = &scratch.arena;
       analysis_options.atoms = &scratch.atoms;
-      analysis_options.tokens = &scratch.tokens;
+      analysis_options.window = &scratch.window;
       analysis = analyze_script(source, analysis_options);
     } catch (const BudgetExceeded& error) {
       outcome.status = status_for_trip(error.trip().kind);

@@ -140,15 +140,15 @@ struct ScriptScratch {
   // arena reset (parse_program). Dense atom ids index the data-flow
   // builder's per-atom binding stacks (DESIGN.md §17).
   support::AtomTable atoms;
-  // Pooled token buffer: parse_program refills it per script and keeps
-  // its capacity, so it stays at the largest script's token count. The
-  // script's ParseResult::tokens span points into it.
-  std::vector<Token> tokens;
+  // Pooled token window the parser pulls tokens through: it keeps its
+  // capacity, which follows the longest lookahead a script needed, not
+  // the largest script's token count (DESIGN.md §12).
+  TokenWindow window;
 
   std::size_t capacity_bytes() const {
     return extract.capacity_bytes() + predict.capacity_bytes() +
            arena.capacity_bytes() + atoms.capacity_bytes() +
-           tokens.capacity() * sizeof(Token);
+           window.capacity_bytes();
   }
 };
 

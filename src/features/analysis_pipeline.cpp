@@ -10,7 +10,7 @@ ScriptAnalysis analyze_script(std::string_view source,
   ScriptAnalysis analysis;
   analysis.parse =
       parse_program(source, options.budget, options.arena, options.atoms,
-                    options.tokens);
+                    options.window);
   if (options.build_cfg) {
     JST_SPAN("cfg");
     if (options.budget != nullptr) options.budget->set_stage("cfg");

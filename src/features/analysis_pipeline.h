@@ -38,9 +38,9 @@ struct AnalysisOptions {
   // lockstep with the arena (parse_program). nullptr gives the Ast a
   // private table.
   support::AtomTable* atoms = nullptr;
-  // Non-owning pooled token buffer (parse_program), refilled per script
-  // and keeping its capacity. nullptr stores the tokens in the result.
-  std::vector<Token>* tokens = nullptr;
+  // Non-owning pooled token window (parse_program), keeping its capacity
+  // across scripts. nullptr uses a private one per parse.
+  TokenWindow* window = nullptr;
 };
 
 struct ScriptAnalysis {

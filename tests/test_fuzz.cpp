@@ -292,8 +292,66 @@ TEST(HostileInputs, DeepTemplateChargesOneBudgetTokenPerToken) {
   Budget budget(ResourceLimits::production());
   const ParseResult result =
       parse_program(hostile::deep_template(200), &budget);
-  EXPECT_EQ(result.tokens.size(), 405u);
-  EXPECT_EQ(budget.tokens_charged(), result.tokens.size() + 1);
+  EXPECT_EQ(result.token_stats.count, 405u);
+  EXPECT_EQ(budget.tokens_charged(), result.token_stats.count + 1);
+}
+
+TEST(HostileInputs, LexErrorAfterParseErrorWins) {
+  // The parser meets `var = 1` long before the lexer reaches the
+  // unterminated string; the error reported is still the lexer's, as if
+  // the whole source were lexed before parsing began.
+  std::string source = "var = 1;\n";
+  for (int i = 0; i < 2000; ++i) source += "f(a, b);\n";
+  source += "var s = \"abc";
+  try {
+    parse_program(source);
+    ADD_FAILURE() << "parsed";
+  } catch (const ParseError& error) {
+    EXPECT_NE(std::string(error.what()).find("unterminated string"),
+              std::string::npos)
+        << error.what();
+    EXPECT_EQ(error.line(), 2002u);
+  }
+}
+
+TEST(HostileInputs, TokenCeilingWinsOverAstNodeCeiling) {
+  // Both ceilings are exceeded and the AST-node one is met first while
+  // parsing; the token trip, in stage "lex", is the one reported.
+  analysis::AnalyzerService service(fuzz_analyzer());
+  ResourceLimits limits;
+  limits.max_ast_nodes = 50;
+  limits.max_tokens = 5000;
+  const analysis::ScriptOutcome outcome =
+      analyze_source(service, statement_flood(2000), limits);
+  EXPECT_EQ(outcome.status, analysis::ScriptStatus::kBudgetTokens);
+  ASSERT_TRUE(outcome.budget.has_value());
+  EXPECT_EQ(outcome.budget->kind, ResourceKind::kTokens);
+  EXPECT_EQ(outcome.budget->observed, 5001.0);
+  EXPECT_EQ(outcome.budget->stage, "lex");
+}
+
+TEST(HostileInputs, ParenFloodsParseWithoutBlowingUp) {
+  // 100 000 nested parentheses: the first '(' asks where it closes, which
+  // is at the end of the script, so the whole flood enters the token
+  // window once; the recursion guard then stops the parse cleanly.
+  const std::size_t depth = 100000;
+  const std::string nested =
+      std::string(depth, '(') + "1" + std::string(depth, ')');
+  try {
+    parse_program(nested);
+    ADD_FAILURE() << "100 000-deep nesting parsed";
+  } catch (const ParseError& error) {
+    EXPECT_NE(std::string(error.what()).find("nesting depth exceeded"),
+              std::string::npos)
+        << error.what();
+  }
+  // 50 000 arrow candidates back to back: each lookahead is answered
+  // within its own statement.
+  std::string arrows;
+  for (int i = 0; i < 50000; ++i) arrows += "(a)=>a;";
+  const ParseResult result = parse_program(arrows);
+  EXPECT_EQ(result.ast.root()->kids.size(), 50000u);
+  EXPECT_EQ(result.token_stats.count, 50000u * 6);
 }
 
 TEST(HostileInputs, DataflowCeilingDegradesButStillPredicts) {
