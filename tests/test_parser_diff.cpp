@@ -69,8 +69,8 @@ class Oracle {
 constexpr std::uint64_t kOracleSeedCorpus = 0x35f8abe02986a832;
 constexpr std::uint64_t kOracleTechniqueTransforms = 0x9679ffef13c83750;
 constexpr std::uint64_t kOracleTailScripts = 0x956f6bb85346f1c;
-constexpr std::uint64_t kOracleHostileGenerators = 0x59b5a7637c8d00bb;
-constexpr std::uint64_t kOracleArrowParenSoup = 0x2bff7123f60453e7;
+constexpr std::uint64_t kOracleHostileGenerators = 0x296f8312b6b5482e;
+constexpr std::uint64_t kOracleArrowParenSoup = 0xed3897c3b9666fce;
 
 void expect_oracle(const char* label, std::uint64_t expected,
                    const Oracle& oracle) {
