@@ -92,6 +92,21 @@ TEST(Lexer, StringEscapes) {
   EXPECT_EQ(value(tokens[3]), "q\\");
 }
 
+TEST(Lexer, CodePointEscapes) {
+  // A braced escape above U+FFFF encodes as four UTF-8 bytes; leading
+  // zeros are allowed.
+  EXPECT_EQ(value(lex(R"JS("\u{1F600}")JS")[0]), "\xf0\x9f\x98\x80");
+  EXPECT_EQ(value(lex(R"JS("\u{0000041}")JS")[0]), "A");
+  EXPECT_EQ(value(lex(R"JS("\u{10FFFF}\u{7FF}")JS")[0]),
+            "\xf4\x8f\xbf\xbf\xdf\xbf");
+  // No digits, or a value past U+10FFFF, is not a code point; a run of
+  // digits long enough to wrap an unsigned accumulator is caught too.
+  EXPECT_THROW(lex(R"JS("\u{}")JS"), ParseError);
+  EXPECT_THROW(lex(R"JS("\u{110000}")JS"), ParseError);
+  EXPECT_THROW(lex(R"JS("\u{100000000041}")JS"), ParseError);
+  EXPECT_THROW(lex(R"JS(a\u{}b)JS"), ParseError);
+}
+
 TEST(Lexer, UnterminatedStringFails) {
   EXPECT_THROW(lex("\"abc"), ParseError);
   EXPECT_THROW(lex("\"abc\n\""), ParseError);
