@@ -41,7 +41,8 @@ namespace {
 void usage() {
   std::fprintf(stderr,
                "usage: jstraced-server --socket PATH [--workers N] "
-               "[--max-queue-depth N] [--min-service-ms X] [--model FILE] "
+               "[--max-queue-depth N] [--max-connections N] "
+               "[--min-service-ms X] [--model FILE] "
                "[--training-regular N] [--per-technique N] "
                "[--window-seconds N] [--flight-out FILE] %s %s\n",
                jst::support::cache_flags_usage(),
@@ -69,6 +70,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--max-queue-depth") == 0 &&
                i + 1 < argc) {
       config.max_queue_depth = static_cast<std::size_t>(std::atoi(argv[++i]));
+    } else if (std::strcmp(argv[i], "--max-connections") == 0 &&
+               i + 1 < argc) {
+      config.max_connections = static_cast<std::size_t>(std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--min-service-ms") == 0 && i + 1 < argc) {
       config.min_service_ms = std::strtod(argv[++i], nullptr);
     } else if (std::strcmp(argv[i], "--window-seconds") == 0 && i + 1 < argc) {
@@ -184,9 +188,10 @@ int main(int argc, char** argv) {
     daemon.shutdown();
     const server::ServerStats stats = daemon.stats();
     std::fprintf(stderr,
-                 "[jstraced] drained: %llu connections, %llu admitted, "
-                 "%llu served, %llu shed, %llu invalid\n",
+                 "[jstraced] drained: %llu connections (%llu refused), "
+                 "%llu admitted, %llu served, %llu shed, %llu invalid\n",
                  static_cast<unsigned long long>(stats.connections_accepted),
+                 static_cast<unsigned long long>(stats.connections_refused),
                  static_cast<unsigned long long>(stats.requests_admitted),
                  static_cast<unsigned long long>(stats.requests_served),
                  static_cast<unsigned long long>(stats.requests_shed),

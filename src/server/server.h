@@ -74,6 +74,10 @@ struct ServerConfig {
   // Hard admission cap on in-flight (queued + running) requests; 0 means
   // "no cap" and only the deadline-based estimate sheds.
   std::size_t max_queue_depth = 256;
+  // Cap on open client connections, and so on reader threads. A
+  // connection accepted over it gets one kOverloaded line and is closed;
+  // 0 means no cap.
+  std::size_t max_connections = 256;
   // Default per-request limits when a request carries no override.
   ResourceLimits default_limits;
   // Cache discipline applied to requests that carry no explicit
@@ -108,6 +112,8 @@ struct ServerConfig {
 // Point-in-time counters for tests and the drain log line.
 struct ServerStats {
   std::uint64_t connections_accepted = 0;
+  std::uint64_t connections_refused = 0;  // over max_connections
+  std::uint64_t connections_open = 0;     // at the time of the snapshot
   std::uint64_t requests_admitted = 0;
   std::uint64_t requests_served = 0;
   std::uint64_t requests_shed = 0;      // kOverloaded + kDraining
@@ -164,6 +170,9 @@ class Server {
   struct Connection;
 
   void accept_loop();
+  // Answers a connection over max_connections with one kOverloaded line
+  // and closes it.
+  void refuse_connection(int fd, std::size_t open);
   void serve_connection(Connection& connection);
   void handle_line(Connection& connection, const std::string& line);
   void handle_request(Connection& connection, analysis::AnalyzeRequest request);
@@ -222,6 +231,9 @@ class Server {
 
   mutable std::mutex connections_mutex_;
   std::vector<std::unique_ptr<Connection>> connections_;
+  // Connections whose reader has not finished; compared with
+  // config_.max_connections at accept.
+  std::atomic<std::size_t> open_connections_{0};
 
   // Content-hash registry: digest → source in an LRU table, bounded by
   // 4096 entries and config_.hash_registry_bytes (payload bytes;

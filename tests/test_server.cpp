@@ -645,6 +645,69 @@ TEST_F(ServerFixture, FinishedConnectionsAreReaped) {
   EXPECT_EQ(daemon_->stats().connections_accepted, 8u + kConnections);
 }
 
+// With max_connections = 4, four clients are served and a fifth
+// connection gets one kOverloaded line and is closed; once a client
+// leaves, a new one is served again.
+TEST_F(ServerFixture, ConnectionCapRefusesOverflow) {
+  server::ServerConfig config;
+  config.max_connections = 4;
+  StartServer("conncap", config);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  obs::Counter& refused =
+      registry.counter("jst_server_connections_refused_total");
+  const std::uint64_t refused_before = refused.value();
+
+  std::vector<std::unique_ptr<server::Client>> clients;
+  for (int i = 0; i < 4; ++i) {
+    clients.push_back(
+        std::make_unique<server::Client>(daemon_->socket_path()));
+    ASSERT_TRUE(clients.back()->ping());  // its reader is running
+  }
+  EXPECT_EQ(daemon_->stats().connections_open, 4u);
+  EXPECT_EQ(registry.gauge("jst_server_open_connections").value(), 4.0);
+
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un address{};
+  address.sun_family = AF_UNIX;
+  std::strncpy(address.sun_path, daemon_->socket_path().c_str(),
+               sizeof(address.sun_path) - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&address),
+                      sizeof(address)),
+            0);
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  std::string received;
+  char buffer[4096];
+  for (;;) {  // until the daemon closes the connection
+    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+    if (n <= 0) break;
+    received.append(buffer, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  const std::vector<std::string> lines = split_lines(received);
+  ASSERT_EQ(lines.size(), 1u) << received;
+  std::string error;
+  const auto parsed = analysis::wire::parse_analyze_response(lines[0], &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  EXPECT_EQ(parsed->status, analysis::ResponseStatus::kOverloaded);
+  EXPECT_EQ(daemon_->stats().connections_refused, 1u);
+  EXPECT_EQ(refused.value() - refused_before, 1u);
+  for (const auto& client : clients) EXPECT_TRUE(client->ping());
+
+  // A client that leaves frees its slot once its reader has finished.
+  clients.back()->close();
+  clients.pop_back();
+  for (int i = 0; i < 1000 && daemon_->stats().connections_open > 3; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(daemon_->stats().connections_open, 3u);
+  server::Client replacement(daemon_->socket_path());
+  EXPECT_TRUE(replacement.ping());
+  EXPECT_EQ(daemon_->stats().connections_refused, 1u);
+}
+
 // A request line may be at most 6 × max_source_bytes + 64 KiB long. A
 // newline-free stream many times that is answered once with
 // kInvalidRequest and the connection is closed, without the daemon
