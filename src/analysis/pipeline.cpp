@@ -1,7 +1,7 @@
 #include "analysis/pipeline.h"
 
+#include <algorithm>
 #include <array>
-#include <chrono>
 #include <istream>
 #include <ostream>
 #include <string>
@@ -12,6 +12,7 @@
 #include "obs/metrics.h"
 #include "obs/request_context.h"
 #include "obs/trace.h"
+#include "support/clock.h"
 #include "support/error.h"
 #include "support/json_writer.h"
 #include "support/thread_pool.h"
@@ -19,12 +20,6 @@
 
 namespace jst::analysis {
 namespace {
-
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 // Per-script pipeline telemetry (DESIGN.md §9). The histograms mirror
 // StageTimings, so no extra clock reads happen — recording is a handful
@@ -49,14 +44,19 @@ ScriptMetrics& script_metrics() {
   return *metrics;
 }
 
-// Scratch-reuse telemetry for the zero-alloc fast path: how often a
-// warmed-up scratch was handed another script, and the largest
-// steady-state footprint any scratch reached.
-struct ScratchMetrics {
-  obs::Counter& reuses =
-      obs::MetricsRegistry::global().counter("jst_scratch_reuse_total");
-  obs::Gauge& peak_bytes =
-      obs::MetricsRegistry::global().gauge("jst_scratch_peak_bytes");
+// Reuse telemetry for a pooled per-lane buffer, named <prefix>_*: how
+// often a warmed-up one was handed another script, and the largest
+// footprint any of them reached. jst_scratch_* covers the extraction and
+// inference scratch (its steady-state capacity), jst_arena_* the
+// front-end arena (peak bytes across resets).
+struct ReuseMetrics {
+  obs::Counter& reuses;
+  obs::Gauge& peak_bytes;
+
+  explicit ReuseMetrics(const std::string& prefix)
+      : reuses(obs::MetricsRegistry::global().counter(prefix + "_reuse_total")),
+        peak_bytes(
+            obs::MetricsRegistry::global().gauge(prefix + "_peak_bytes")) {}
 
   void record_peak(std::size_t bytes) {
     // Racy max across workers is fine — telemetry only.
@@ -65,29 +65,14 @@ struct ScratchMetrics {
   }
 };
 
-ScratchMetrics& scratch_metrics() {
-  static ScratchMetrics* metrics = new ScratchMetrics();  // outlives statics
+ReuseMetrics& scratch_metrics() {
+  // Leaked, like every metrics singleton here, so it outlives statics.
+  static ReuseMetrics* metrics = new ReuseMetrics("jst_scratch");
   return *metrics;
 }
 
-// Pooled front-end arena telemetry: how often a warmed-up arena was
-// reset-and-reused for another script, and the largest per-script
-// footprint (peak bytes across resets) any worker arena reached.
-struct ArenaMetrics {
-  obs::Counter& reuses =
-      obs::MetricsRegistry::global().counter("jst_arena_reuse_total");
-  obs::Gauge& peak_bytes =
-      obs::MetricsRegistry::global().gauge("jst_arena_peak_bytes");
-
-  void record_peak(std::size_t bytes) {
-    // Racy max across workers is fine — telemetry only.
-    const auto value = static_cast<double>(bytes);
-    if (value > peak_bytes.value()) peak_bytes.set(value);
-  }
-};
-
-ArenaMetrics& arena_metrics() {
-  static ArenaMetrics* metrics = new ArenaMetrics();  // outlives statics
+ReuseMetrics& arena_metrics() {
+  static ReuseMetrics* metrics = new ReuseMetrics("jst_arena");
   return *metrics;
 }
 
@@ -406,6 +391,12 @@ ScriptOutcome TransformationAnalyzer::analyze_outcome(
 // soft stages (data flow, features, inference) degrade: the outcome keeps
 // everything computed before the trip and lists the skipped stages.
 // Tripped ceilings never escape as exceptions.
+//
+// Timing (DESIGN.md §9): the clock is read at the start, before features,
+// before inference and once in the finishing block, which closes whichever
+// stage ran last. A stage that did not run ends where the one before it
+// did, so the stage times add up to total_ms for every status. The stages
+// return early into that one finishing block.
 ScriptOutcome TransformationAnalyzer::analyze_outcome(
     std::string_view source, const ResourceLimits& limits,
     ScriptScratch& scratch) const {
@@ -418,146 +409,121 @@ ScriptOutcome TransformationAnalyzer::analyze_outcome(
   JST_SPAN("script");
   const bool governed = limits.any_enabled();
   Budget budget(limits);
-  const auto start = std::chrono::steady_clock::now();
+  std::array<support::Clock::time_point, 4> stamps;
+  std::size_t stamped = 0;
+  const auto stamp = [&] { stamps[stamped++] = support::Clock::now(); };
+  stamp();
 
-  // Source-size ceiling: refused before the lexer touches a byte. This is
-  // the successor of the retired BatchOptions::max_bytes guard and keeps
-  // its status (kIneligibleSize) so population counts stay comparable.
-  if (limits.max_source_bytes > 0 && source.size() > limits.max_source_bytes) {
-    budget.set_stage("pre-parse");
-    BudgetTrip trip = budget.make_trip(ResourceKind::kSourceBytes);
-    trip.observed = static_cast<double>(source.size());
-    outcome.status = ScriptStatus::kIneligibleSize;
-    outcome.report.status = outcome.status;
-    outcome.error_message = trip.to_string();
-    outcome.budget = std::move(trip);
-    outcome.timing.static_analysis_ms = ms_since(start);
-    outcome.timing.total_ms = outcome.timing.static_analysis_ms;
-    record_outcome_metrics(outcome);
-    return outcome;
-  }
-
-  ScriptAnalysis analysis;
-  {
-    JST_SPAN("static_analysis");
-    try {
-      AnalysisOptions analysis_options = options_.detector.features.analysis;
-      analysis_options.budget = governed ? &budget : nullptr;
-      analysis_options.dataflow_scratch = &scratch.extract.dataflow;
-      analysis_options.cfg_scratch = &scratch.extract.cfg;
-      analysis_options.arena = &scratch.arena;
-      analysis_options.atoms = &scratch.atoms;
-      analysis_options.window = &scratch.window;
-      analysis = analyze_script(source, analysis_options);
-    } catch (const BudgetExceeded& error) {
-      outcome.status = status_for_trip(error.trip().kind);
-      outcome.report.status = outcome.status;
-      outcome.budget = error.trip();
-      outcome.error_message = error.what();
-      outcome.timing.static_analysis_ms = ms_since(start);
-      outcome.timing.total_ms = outcome.timing.static_analysis_ms;
-      record_outcome_metrics(outcome);
-      return outcome;
-    } catch (const ParseError& error) {
-      outcome.status = ScriptStatus::kParseError;
-      outcome.report.status = outcome.status;
-      outcome.error_message = error.what();
-      outcome.timing.static_analysis_ms = ms_since(start);
-      outcome.timing.total_ms = outcome.timing.static_analysis_ms;
-      record_outcome_metrics(outcome);
-      return outcome;
-    }
-    // The §III-D1 eligibility filter is an AST walk, so it belongs to the
-    // static-analysis stage; attributing it here keeps the per-stage times
-    // a partition of total_ms (the BatchStats invariant in service.h).
-    if (!size_eligible(source)) {
+  const auto run_stages = [&] {
+    // Source-size ceiling: refused before the lexer touches a byte. This
+    // is the successor of the retired BatchOptions::max_bytes guard and
+    // keeps its status (kIneligibleSize) so population counts stay
+    // comparable.
+    if (limits.max_source_bytes > 0 &&
+        source.size() > limits.max_source_bytes) {
+      budget.set_stage("pre-parse");
+      BudgetTrip trip = budget.make_trip(ResourceKind::kSourceBytes);
+      trip.observed = static_cast<double>(source.size());
       outcome.status = ScriptStatus::kIneligibleSize;
-    } else if (!ast_eligible(analysis, &scratch.extract.eligibility_stack)) {
-      outcome.status = ScriptStatus::kIneligibleAst;
-    } else {
-      outcome.status = ScriptStatus::kOk;
+      outcome.error_message = trip.to_string();
+      outcome.budget = std::move(trip);
+      return;
     }
-  }
-  outcome.timing.static_analysis_ms = ms_since(start);
 
-  // Soft trip 1: the data-flow pass ran out of edge budget. Edges are
-  // truncated but the AST and CFG are intact, so features and inference
-  // still run below; the budget status takes precedence over eligibility.
-  const bool dataflow_edges_tripped =
-      analysis.data_flow.tripped.has_value() &&
-      analysis.data_flow.tripped->kind == ResourceKind::kDataflowEdges;
-  const bool dataflow_deadline_tripped =
-      analysis.data_flow.tripped.has_value() &&
-      analysis.data_flow.tripped->kind == ResourceKind::kDeadline;
-  if (dataflow_edges_tripped) {
-    outcome.status = ScriptStatus::kBudgetDataflow;
-    outcome.budget = analysis.data_flow.tripped;
-    outcome.error_message = outcome.budget->to_string();
-    outcome.skipped_stages.push_back("dataflow");
-  }
-  outcome.report.status = outcome.status;
+    ScriptAnalysis analysis;
+    {
+      JST_SPAN("static_analysis");
+      try {
+        AnalysisOptions analysis_options = options_.detector.features.analysis;
+        analysis_options.budget = governed ? &budget : nullptr;
+        analysis_options.dataflow_scratch = &scratch.extract.dataflow;
+        analysis_options.cfg_scratch = &scratch.extract.cfg;
+        analysis_options.arena = &scratch.arena;
+        analysis_options.atoms = &scratch.atoms;
+        analysis_options.window = &scratch.window;
+        analysis = analyze_script(source, analysis_options);
+      } catch (const BudgetExceeded& error) {
+        outcome.status = status_for_trip(error.trip().kind);
+        outcome.budget = error.trip();
+        outcome.error_message = error.what();
+        return;
+      } catch (const ParseError& error) {
+        outcome.status = ScriptStatus::kParseError;
+        outcome.error_message = error.what();
+        return;
+      }
+      // The §III-D1 eligibility filter is an AST walk, so it belongs to
+      // the static-analysis stage.
+      if (!size_eligible(source)) {
+        outcome.status = ScriptStatus::kIneligibleSize;
+      } else if (!ast_eligible(analysis, &scratch.extract.eligibility_stack)) {
+        outcome.status = ScriptStatus::kIneligibleAst;
+      } else {
+        outcome.status = ScriptStatus::kOk;
+      }
+    }
+    stamp();
 
-  // Soft trip 2: the deadline passed during data flow or by this
-  // checkpoint. Degrade — emit the hand-picked block (cheap, bounded by
-  // the already-admitted AST) and skip n-grams and inference.
-  budget.set_stage("features");
-  if (governed && (dataflow_deadline_tripped || budget.deadline_expired())) {
-    outcome.status = ScriptStatus::kDegraded;
-    outcome.budget = dataflow_deadline_tripped
-                         ? analysis.data_flow.tripped
-                         : std::optional<BudgetTrip>(
-                               budget.make_trip(ResourceKind::kDeadline));
-    outcome.error_message = outcome.budget->to_string();
-    if (dataflow_deadline_tripped) {
+    // Soft trip 1: the data-flow pass ran out of edge budget. Edges are
+    // truncated but the AST and CFG are intact, so features and inference
+    // still run below; the budget status takes precedence over
+    // eligibility.
+    const std::optional<BudgetTrip>& dataflow_trip = analysis.data_flow.tripped;
+    const bool dataflow_deadline_tripped =
+        dataflow_trip.has_value() &&
+        dataflow_trip->kind == ResourceKind::kDeadline;
+    if (dataflow_trip.has_value() &&
+        dataflow_trip->kind == ResourceKind::kDataflowEdges) {
+      outcome.status = ScriptStatus::kBudgetDataflow;
+      outcome.budget = dataflow_trip;
+      outcome.error_message = outcome.budget->to_string();
       outcome.skipped_stages.push_back("dataflow");
     }
-    outcome.skipped_stages.push_back("ngrams");
-    outcome.skipped_stages.push_back("inference");
-    const auto features_start = std::chrono::steady_clock::now();
-    {
+
+    // Soft trip 2: the deadline passed during data flow or by this
+    // checkpoint. Degrade — emit the hand-picked block (cheap, bounded by
+    // the already-admitted AST) and skip n-grams and inference.
+    budget.set_stage("features");
+    if (governed && (dataflow_deadline_tripped || budget.deadline_expired())) {
+      outcome.status = ScriptStatus::kDegraded;
+      outcome.budget = dataflow_deadline_tripped
+                           ? dataflow_trip
+                           : std::optional<BudgetTrip>(
+                                 budget.make_trip(ResourceKind::kDeadline));
+      outcome.error_message = outcome.budget->to_string();
+      if (dataflow_deadline_tripped) {
+        outcome.skipped_stages.push_back("dataflow");
+      }
+      outcome.skipped_stages.push_back("ngrams");
+      outcome.skipped_stages.push_back("inference");
       JST_SPAN("features");
       features::FeatureConfig handpicked_only = options_.detector.features;
       handpicked_only.use_ngrams = false;
       outcome.partial_features =
           features::extract_into(analysis, handpicked_only, scratch.extract);
+      return;
     }
-    outcome.timing.features_ms = ms_since(features_start);
-    outcome.timing.total_ms = ms_since(start);
-    outcome.report.status = outcome.status;
-    scratch_metrics().record_peak(scratch.capacity_bytes());
-    arena_metrics().record_peak(scratch.arena.peak_bytes());
-    record_outcome_metrics(outcome);
-    return outcome;
-  }
 
-  const auto features_start = std::chrono::steady_clock::now();
-  const std::vector<float>* row = nullptr;
-  {
-    JST_SPAN("features");
-    row = &features::extract_into(analysis, options_.detector.features,
-                                  scratch.extract);
-  }
-  outcome.timing.features_ms = ms_since(features_start);
+    const std::vector<float>* row = nullptr;
+    {
+      JST_SPAN("features");
+      row = &features::extract_into(analysis, options_.detector.features,
+                                    scratch.extract);
+    }
 
-  // Soft trip 3: the deadline passed during feature extraction. The full
-  // feature row exists but inference is skipped.
-  budget.set_stage("inference");
-  if (governed && budget.deadline_expired()) {
-    outcome.status = ScriptStatus::kDegraded;
-    outcome.budget = budget.make_trip(ResourceKind::kDeadline);
-    outcome.error_message = outcome.budget->to_string();
-    outcome.skipped_stages.push_back("inference");
-    outcome.partial_features = *row;
-    outcome.timing.total_ms = ms_since(start);
-    outcome.report.status = outcome.status;
-    scratch_metrics().record_peak(scratch.capacity_bytes());
-    arena_metrics().record_peak(scratch.arena.peak_bytes());
-    record_outcome_metrics(outcome);
-    return outcome;
-  }
+    // Soft trip 3: the deadline passed during feature extraction. The full
+    // feature row exists but inference is skipped.
+    budget.set_stage("inference");
+    if (governed && budget.deadline_expired()) {
+      outcome.status = ScriptStatus::kDegraded;
+      outcome.budget = budget.make_trip(ResourceKind::kDeadline);
+      outcome.error_message = outcome.budget->to_string();
+      outcome.skipped_stages.push_back("inference");
+      outcome.partial_features = *row;
+      return;
+    }
+    stamp();
 
-  const auto inference_start = std::chrono::steady_clock::now();
-  {
     JST_SPAN("inference");
     outcome.report.level1 = level1_.predict(*row, scratch.predict);
     level2_.predict_proba(*row, scratch.predict,
@@ -566,9 +532,16 @@ ScriptOutcome TransformationAnalyzer::analyze_outcome(
       outcome.report.techniques = Level2Detector::techniques_from_confidence(
           outcome.report.technique_confidence, scratch.predict);
     }
-  }
-  outcome.timing.inference_ms = ms_since(inference_start);
-  outcome.timing.total_ms = ms_since(start);
+  };
+  run_stages();
+
+  stamp();
+  std::fill(stamps.begin() + stamped, stamps.end(), stamps[stamped - 1]);
+  outcome.timing.static_analysis_ms = support::ms_between(stamps[0], stamps[1]);
+  outcome.timing.features_ms = support::ms_between(stamps[1], stamps[2]);
+  outcome.timing.inference_ms = support::ms_between(stamps[2], stamps[3]);
+  outcome.timing.total_ms = support::ms_between(stamps[0], stamps[3]);
+  outcome.report.status = outcome.status;
   scratch_metrics().record_peak(scratch.capacity_bytes());
   arena_metrics().record_peak(scratch.arena.peak_bytes());
   record_outcome_metrics(outcome);

@@ -6,13 +6,13 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <utility>
 
 #include "analysis/wire.h"
 #include "obs/metrics.h"
+#include "support/clock.h"
 #include "support/json_writer.h"
 #include "support/strings.h"
 #include "transform/technique.h"
@@ -135,12 +135,6 @@ bool header_matches(const support::JsonValue& document, std::string* why) {
 
 // Context word of a text key that is not in make_key's form ("fnvtext_").
 constexpr std::uint64_t kTextKeyTag = 0x666e76746578745fULL;
-
-double ms_since(std::chrono::steady_clock::time_point started) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - started)
-      .count();
-}
 
 bool write_all_fd(int fd, std::string_view data) {
   while (!data.empty()) {
@@ -641,10 +635,10 @@ bool ResultCache::lookup(const CacheKey& key, ScriptOutcome& outcome) {
 }
 
 std::optional<ScriptOutcome> ResultCache::lookup(const std::string& key) {
-  const auto started = std::chrono::steady_clock::now();
+  const auto started = support::Clock::now();
   ScriptOutcome outcome;
   if (!lookup(cache_key_of(key), outcome)) return std::nullopt;
-  record_hit_ms(ms_since(started));
+  record_hit_ms(support::ms_since(started));
   return outcome;
 }
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <cassert>
-#include <chrono>
 #include <cmath>
 #include <sstream>
 #include <utility>
@@ -15,6 +14,7 @@
 #include "obs/metrics.h"
 #include "obs/request_context.h"
 #include "obs/trace.h"
+#include "support/clock.h"
 #include "support/error.h"
 #include "support/stats.h"
 #include "support/strings.h"
@@ -80,20 +80,16 @@ BatchStats aggregate_stats(std::span<const AnalyzeResponse> responses,
         1000.0 * static_cast<double>(stats.total) / stats.wall_ms;
   }
   // Stage accounting invariant (see BatchStats): the stages partition each
-  // script's total up to the clock reads between stage boundaries. Allow
-  // 50 µs of residue per script plus 5% slack before declaring drift.
+  // script's total. A fresh outcome's stage times add up to its total up
+  // to rounding; the 5% slack (plus 50 µs per script) is for cached
+  // outcomes from record files written before the stage stamps, which
+  // still carry the clock reads that fell between stages.
   assert(stats.stage_ms_sum() <=
              stats.total_script_ms + 1e-6 * static_cast<double>(stats.total) &&
          stats.total_script_ms - stats.stage_ms_sum() <=
              0.05 * stats.total_script_ms +
                  0.05 * static_cast<double>(stats.total));
   return stats;
-}
-
-double ms_since(std::chrono::steady_clock::time_point started) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - started)
-      .count();
 }
 
 // Bitwise equality, so limits that print differently in
@@ -283,7 +279,7 @@ AnalyzeResponse AnalyzerService::analyze_with_scratch(
   // cache_lookup_ms (and so service_ms) and the jst_cache_hit_ms sample.
   bool store_after_analysis = false;
   if (cache_ != nullptr) {
-    const auto lookup_started = std::chrono::steady_clock::now();
+    const auto lookup_started = support::Clock::now();
     switch (request.cache_mode) {
       case CacheMode::kBypass:
         cache_->note_bypass();
@@ -293,7 +289,7 @@ AnalyzeResponse AnalyzerService::analyze_with_scratch(
         const CacheKey key{source_digest, cache_context(limits).word};
         response.cache = cache_->contains(key) ? CacheState::kStale
                                                : CacheState::kMiss;
-        response.cache_lookup_ms = ms_since(lookup_started);
+        response.cache_lookup_ms = support::ms_since(lookup_started);
         store_after_analysis = true;
         break;
       }
@@ -302,14 +298,14 @@ AnalyzeResponse AnalyzerService::analyze_with_scratch(
         if (cache_->lookup(key, response.outcome)) {
           // The cached outcome carries the original analysis timings;
           // the actual serving cost of this hit is the lookup alone.
-          response.cache_lookup_ms = ms_since(lookup_started);
+          response.cache_lookup_ms = support::ms_since(lookup_started);
           cache_->record_hit_ms(response.cache_lookup_ms);
           response.status = ResponseStatus::kOk;
           response.cache = CacheState::kHit;
           response.service_ms = response.cache_lookup_ms;
           return response;
         }
-        response.cache_lookup_ms = ms_since(lookup_started);
+        response.cache_lookup_ms = support::ms_since(lookup_started);
         response.cache = CacheState::kMiss;
         store_after_analysis = true;
         break;
@@ -354,7 +350,7 @@ BatchResponse AnalyzerService::analyze_batch(
   const std::size_t threads = support::resolve_threads(options.threads);
 
   JST_SPAN("batch");
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = support::Clock::now();
   support::run_parallel(threads, requests.size(), [&](std::size_t i) {
     // One scratch per worker thread, reused for every script the worker
     // analyzes (in this batch and all later ones): feature extraction and
@@ -365,9 +361,7 @@ BatchResponse AnalyzerService::analyze_batch(
         request, options.limits,
         request.has_source ? strings::fnv1a(request.source) : 0, scratch);
   });
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
+  const double wall_ms = support::ms_since(start);
   result.stats = aggregate_stats(result.responses, wall_ms, threads);
 
   BatchMetrics& metrics = batch_metrics();

@@ -163,9 +163,11 @@ struct AnalyzeResponse {
 // Stage accounting invariant: the per-stage sums partition the per-script
 // totals — static_analysis_ms + features_ms + inference_ms ≈
 // total_script_ms, where static analysis covers lex + parse + CFG + data
-// flow + the §III-D1 eligibility walk. The residue is only the clock
-// reads between stage boundaries (microseconds per script); the batch
-// aggregator asserts the invariant in debug builds. Only analyzed
+// flow + the §III-D1 eligibility walk. Each stage time is the difference
+// of two adjacent clock stamps, so a fresh outcome's stages add up to its
+// total up to rounding; outcomes cached before the stage stamps can fall
+// short by the clock reads between stages. The batch aggregator asserts
+// the invariant in debug builds. Only analyzed
 // requests (ResponseStatus::kOk) are counted: a rejected or unresolved
 // request never reaches the pipeline, so it contributes to no counter.
 struct BatchStats {

@@ -119,6 +119,7 @@ constexpr std::array<std::uint8_t, kNodeKindCount> kKindReach = [] {
        NodeKind::kMethodDefinition},
       kReachDataFlow);
   set({NodeKind::kConditionalExpression}, kReachConditional);
+  set({NodeKind::kSwitchStatement}, kReachSwitch);
   return table;
 }();
 

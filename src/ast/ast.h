@@ -109,10 +109,11 @@ std::string_view node_kind_name(NodeKind kind);
 // Function: any function node. Conditional: a ConditionalExpression.
 // DataFlow: a node the data-flow pass acts on — a statement, SwitchCase,
 // CatchClause, Identifier, function, class, ClassBody or
-// MethodDefinition.
+// MethodDefinition. Switch: a SwitchStatement.
 constexpr std::uint8_t kReachFunction = 1u << 0;
 constexpr std::uint8_t kReachConditional = 1u << 1;
 constexpr std::uint8_t kReachDataFlow = 1u << 2;
+constexpr std::uint8_t kReachSwitch = 1u << 3;
 
 // The reach bits a node of `kind` contributes by itself.
 std::uint8_t kind_reach(NodeKind kind);

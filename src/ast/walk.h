@@ -1,7 +1,7 @@
 // Tree traversal utilities.
 //
 // Two tiers: the `std::function` walkers below are the flexible entry
-// points used by cold paths (transformers, eligibility checks, tests);
+// points used by cold paths (transformers, tests);
 // the `for_each_preorder` templates are the hot-path tier — the visitor
 // inlines into the traversal loop, so per-node cost is a stack push/pop
 // instead of a type-erased indirect call. Both visit the same nodes in

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <string_view>
 
-#include "ast/walk.h"
 #include "support/stats.h"
 #include "support/strings.h"
 
@@ -125,14 +124,6 @@ bool is_infinite_loop(const Node& node) {
     return node.kid(1) == nullptr;  // no test
   }
   return false;
-}
-
-bool contains_switch_statement(const Node& body) {
-  bool found = false;
-  for_each_preorder(&body, [&found](const Node& node) {
-    if (node.kind == NodeKind::kSwitchStatement) found = true;
-  });
-  return found;
 }
 
 double safe_div(double a, double b) { return b == 0.0 ? 0.0 : a / b; }
@@ -332,7 +323,8 @@ void gather_handpicked(const Node& node, support::AtomTable& atoms,
   if (node.is_loop() && is_infinite_loop(node)) {
     ++c.infinite_loops;
     // Control-flow-flattening dispatcher: an infinite loop whose body
-    // drives a switch.
+    // drives a switch. The body's reach bits (set by Ast::finalize) say
+    // whether one lies anywhere below it.
     const Node* body = nullptr;
     switch (node.kind) {
       case NodeKind::kWhileStatement: body = node.kid(1); break;
@@ -340,7 +332,7 @@ void gather_handpicked(const Node& node, support::AtomTable& atoms,
       case NodeKind::kForStatement: body = node.kid(3); break;
       default: break;
     }
-    if (body != nullptr && contains_switch_statement(*body)) {
+    if (body != nullptr && (body->reach & kReachSwitch) != 0) {
       ++c.switch_in_loop;
     }
   }

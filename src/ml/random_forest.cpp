@@ -1,7 +1,6 @@
 #include "ml/random_forest.h"
 
 #include <algorithm>
-#include <chrono>
 #include <istream>
 #include <numeric>
 #include <ostream>
@@ -10,6 +9,7 @@
 #include "ml/model_codec.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "support/clock.h"
 #include "support/error.h"
 #include "support/thread_pool.h"
 
@@ -33,14 +33,12 @@ void RandomForest::fit(const Matrix& data, std::span<const std::uint8_t> labels,
   support::run_parallel(
       params.threads, trees_.size(), [&](std::size_t t) {
         JST_SPAN("forest.fit_tree");
-        const auto start = std::chrono::steady_clock::now();
+        const auto start = support::Clock::now();
         Rng tree_rng(seeds[t]);
         std::vector<std::size_t> bootstrap(row_count);
         for (std::size_t& index : bootstrap) index = tree_rng.index(row_count);
         trees_[t].fit(data, labels, bootstrap, params.tree, tree_rng);
-        tree_fit_ms.record(std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - start)
-                               .count());
+        tree_fit_ms.record(support::ms_since(start));
       });
 }
 

@@ -6,31 +6,17 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 
+#include "server/socket_io.h"
+#include "support/clock.h"
 #include "support/json_writer.h"
 #include "support/stats.h"
 
 namespace jst::server {
-namespace {
-
-bool write_all(int fd, std::string_view data) {
-  while (!data.empty()) {
-    const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data.remove_prefix(static_cast<std::size_t>(n));
-  }
-  return true;
-}
-
-}  // namespace
 
 Client::Client(const std::string& socket_path) {
   sockaddr_un address{};
@@ -193,7 +179,7 @@ LoadReport run_load(const std::string& socket_path,
   std::vector<double> latencies;
   std::mutex merge_mutex;
 
-  const auto started = std::chrono::steady_clock::now();
+  const auto started = support::Clock::now();
   std::vector<std::thread> threads;
   threads.reserve(connections);
   for (std::size_t c = 0; c < connections; ++c) {
@@ -216,14 +202,11 @@ LoadReport run_load(const std::string& socket_path,
             limits.deadline_ms = options.deadline_ms;
             request.limits = limits;
           }
-          const auto sent_at = std::chrono::steady_clock::now();
+          const auto sent_at = support::Clock::now();
           ++local.sent;
           const analysis::wire::ParsedResponse response =
               client.call(request);
-          local_latencies.push_back(
-              std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - sent_at)
-                  .count());
+          local_latencies.push_back(support::ms_since(sent_at));
           switch (response.status) {
             case analysis::ResponseStatus::kOk:
               ++local.ok;
@@ -253,9 +236,7 @@ LoadReport run_load(const std::string& socket_path,
     });
   }
   for (std::thread& thread : threads) thread.join();
-  report.wall_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - started)
-                       .count();
+  report.wall_ms = support::ms_since(started);
 
   report.latency_p50_ms = stats::percentile(latencies, 50.0);
   report.latency_p95_ms = stats::percentile(latencies, 95.0);

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -16,6 +17,8 @@
 #include "analysis/wire.h"
 #include "obs/metrics.h"
 #include "obs/request_context.h"
+#include "server/socket_io.h"
+#include "support/clock.h"
 #include "support/json_writer.h"
 #include "support/strings.h"
 
@@ -106,25 +109,9 @@ ServerMetrics& server_metrics() {
   return *metrics;
 }
 
-// Writes the whole buffer, retrying on EINTR / partial writes. Returns
-// false on any hard error (EPIPE when the peer vanished is the common
-// one); MSG_NOSIGNAL keeps a dead peer from killing the daemon. The fd
-// carries SO_SNDTIMEO (kWriteTimeoutMs), so a client that stops reading
-// surfaces here as EAGAIN within the timeout instead of blocking the
-// writer — and its write_mutex — forever.
-bool write_all(int fd, std::string_view data) {
-  while (!data.empty()) {
-    const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;  // EAGAIN/EWOULDBLOCK (send timeout) included
-    }
-    data.remove_prefix(static_cast<std::size_t>(n));
-  }
-  return true;
-}
-
-// Bounds every blocking send on `fd` to kWriteTimeoutMs.
+// Bounds every blocking send on `fd` to kWriteTimeoutMs, so a client that
+// stops reading surfaces in write_all as EAGAIN within the timeout instead
+// of blocking the writer — and its write_mutex — forever.
 void set_send_timeout(int fd) {
   timeval tv{};
   tv.tv_sec = static_cast<time_t>(kWriteTimeoutMs / 1000);
@@ -132,10 +119,8 @@ void set_send_timeout(int fd) {
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 }
 
-double elapsed_ms(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - since)
-      .count();
+void bump(std::atomic<std::uint64_t>& counter) {
+  counter.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -236,10 +221,7 @@ void Server::accept_loop() {
     server_metrics().connections.add(1);
     server_metrics().open_connections.add(1);
     ++open_connections_;
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.connections_accepted;
-    }
+    bump(counters_.connections_accepted);
     auto connection = std::make_unique<Connection>();
     connection->fd = fd;
     Connection* raw = connection.get();
@@ -267,10 +249,7 @@ void Server::refuse_connection(int fd, std::size_t open) {
                    "; closing the connection";
   // Counted before the peer can see the close.
   server_metrics().refused.add(1);
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.connections_refused;
-  }
+  bump(counters_.connections_refused);
   write_all(fd, analysis::wire::analyze_response_json(response) + "\n");
   ::close(fd);
 }
@@ -281,6 +260,11 @@ void Server::serve_connection(Connection& connection) {
   // many recv()s is scanned once, not once per chunk.
   std::size_t scanned = 0;
   char chunk[64 * 1024];
+  const auto reject_oversized_line = [&] {
+    reject(connection, "request line exceeds " +
+                           std::to_string(max_line_bytes_) +
+                           " bytes; closing the connection");
+  };
   bool open = true;
   while (open && !connection.stop_reading) {
     const ssize_t n = ::recv(connection.fd, chunk, sizeof(chunk), 0);
@@ -292,7 +276,7 @@ void Server::serve_connection(Connection& connection) {
       const std::size_t newline = buffer.find('\n', std::max(start, scanned));
       if (newline == std::string::npos) break;
       if (newline - start > max_line_bytes_) {
-        reject_oversized_line(connection);
+        reject_oversized_line();
         open = false;
         break;
       }
@@ -311,7 +295,7 @@ void Server::serve_connection(Connection& connection) {
     // An unterminated line already past the cap can only be refused:
     // stop buffering it instead of growing with whatever the peer sends.
     if (buffer.size() > max_line_bytes_) {
-      reject_oversized_line(connection);
+      reject_oversized_line();
       break;
     }
   }
@@ -332,16 +316,20 @@ void Server::serve_connection(Connection& connection) {
   connection.done = true;
 }
 
-void Server::reject_oversized_line(Connection& connection) {
-  analysis::AnalyzeResponse response;
-  response.status = analysis::ResponseStatus::kInvalidRequest;
-  response.error = "request line exceeds " + std::to_string(max_line_bytes_) +
-                   " bytes; closing the connection";
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.requests_invalid;
-  }
+void Server::reject(Connection& connection, std::string error,
+                    analysis::AnalyzeResponse response,
+                    analysis::ResponseStatus status) {
+  response.status = status;
+  response.error = std::move(error);
+  bump(counters_.requests_invalid);
   respond(connection, response);
+}
+
+void Server::count_shed(const char* reason, double a, double b, double c) {
+  bump(counters_.requests_shed);
+  server_metrics().shed.add(1);
+  shed_window_.add(1);
+  obs::flight_record(obs::FlightEventKind::kShed, {}, reason, a, b, c);
 }
 
 void Server::handle_line(Connection& connection, const std::string& line) {
@@ -355,14 +343,7 @@ void Server::handle_line(Connection& connection, const std::string& line) {
   std::optional<support::JsonValue> document =
       support::parse_json(line, &parse_error);
   if (!document.has_value()) {
-    analysis::AnalyzeResponse response;
-    response.status = analysis::ResponseStatus::kInvalidRequest;
-    response.error = "malformed JSON (" + parse_error + ")";
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.requests_invalid;
-    }
-    respond(connection, response);
+    reject(connection, "malformed JSON (" + parse_error + ")");
     return;
   }
 
@@ -370,14 +351,7 @@ void Server::handle_line(Connection& connection, const std::string& line) {
     const std::string& name = op->as_string();
     if (name != "ping" && name != "metrics" && name != "stats" &&
         name != "flight") {
-      analysis::AnalyzeResponse response;
-      response.status = analysis::ResponseStatus::kInvalidRequest;
-      response.error = "unknown op '" + name + "'";
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.requests_invalid;
-      }
-      respond(connection, response);
+      reject(connection, "unknown op '" + name + "'");
       return;
     }
     JsonWriter writer;
@@ -419,16 +393,10 @@ void Server::handle_line(Connection& connection, const std::string& line) {
       analysis::wire::parse_analyze_request(*document, &request_error);
   if (!request.has_value()) {
     analysis::AnalyzeResponse response;
-    response.status = analysis::ResponseStatus::kInvalidRequest;
-    response.error = request_error;
     if (const support::JsonValue* id = document->find("id")) {
       response.id = id->as_string();
     }
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.requests_invalid;
-    }
-    respond(connection, response);
+    reject(connection, std::move(request_error), std::move(response));
     return;
   }
   handle_request(connection, *std::move(request));
@@ -461,13 +429,7 @@ void Server::handle_request(Connection& connection,
   if (draining_.load(std::memory_order_relaxed)) {
     early.status = analysis::ResponseStatus::kDraining;
     early.error = "server is draining";
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.requests_shed;
-    }
-    server_metrics().shed.add(1);
-    shed_window_.add(1);
-    obs::flight_record(obs::FlightEventKind::kShed, {}, "draining");
+    count_shed("draining");
     respond(connection, early);
     return;
   }
@@ -491,14 +453,9 @@ void Server::handle_request(Connection& connection,
   } else {
     if (!analysis::parse_content_hash(request.source_hash, source_digest) ||
         !resolve_source(source_digest, request.source)) {
-      early.status = analysis::ResponseStatus::kNotFound;
       early.source_hash = request.source_hash;
-      early.error = "unknown source_hash '" + request.source_hash + "'";
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.requests_invalid;
-      }
-      respond(connection, early);
+      reject(connection, "unknown source_hash '" + request.source_hash + "'",
+             std::move(early), analysis::ResponseStatus::kNotFound);
       return;
     }
     request.has_source = true;
@@ -530,15 +487,8 @@ void Server::handle_request(Connection& connection,
     early.queue_depth = depth_at_verdict;
     early.error = "overloaded: " + std::to_string(depth_at_verdict) +
                   " in flight, p95 " + std::to_string(p95) + " ms";
-    {
-      std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-      ++stats_.requests_shed;
-    }
-    server_metrics().shed.add(1);
-    shed_window_.add(1);
-    obs::flight_record(obs::FlightEventKind::kShed, {}, "overloaded",
-                       static_cast<double>(depth_at_verdict), p95,
-                       limits.deadline_ms);
+    count_shed("overloaded", static_cast<double>(depth_at_verdict), p95,
+               limits.deadline_ms);
     respond(connection, early);
     maybe_dump_flight_on_shed_burst();
     return;
@@ -547,16 +497,13 @@ void Server::handle_request(Connection& connection,
                      static_cast<double>(depth_at_admission), p95,
                      limits.deadline_ms);
   server_metrics().queue_depth.set(static_cast<double>(depth_at_admission));
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.requests_admitted;
-  }
+  bump(counters_.requests_admitted);
   {
     std::lock_guard<std::mutex> lock(connection.pending_mutex);
     ++connection.pending;
   }
 
-  const auto admitted_at = std::chrono::steady_clock::now();
+  const auto admitted_at = support::Clock::now();
   Connection* raw = &connection;
   pool_->submit([this, raw, request = std::move(request), source_digest,
                  admitted_at, depth_at_admission]() mutable {
@@ -568,14 +515,13 @@ void Server::handle_request(Connection& connection,
 void Server::process_request(
     Connection& connection, analysis::AnalyzeRequest& request,
     std::uint64_t source_digest,
-    std::chrono::steady_clock::time_point admitted_at,
-    std::size_t depth_at_admission) {
+    support::Clock::time_point admitted_at, std::size_t depth_at_admission) {
   // Re-anchor the request context on the worker lane (submit's capture
   // already covers the common path; this keeps process_request correct
   // if it is ever invoked outside the pool).
   obs::RequestScope rid_scope(request.request_id);
   ServerMetrics& metrics = server_metrics();
-  const double queue_ms = elapsed_ms(admitted_at);
+  const double queue_ms = support::ms_since(admitted_at);
   metrics.queue_ms.record(queue_ms);
   obs::flight_record(obs::FlightEventKind::kPickup, {}, nullptr, queue_ms,
                      static_cast<double>(depth_at_admission));
@@ -593,37 +539,27 @@ void Server::process_request(
     response.detail = request.detail;
     response.error = "deadline elapsed after " + std::to_string(queue_ms) +
                      " ms in queue";
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.requests_shed;
-    }
-    metrics.shed.add(1);
-    shed_window_.add(1);
-    obs::flight_record(obs::FlightEventKind::kShed, {},
-                       "deadline_elapsed_in_queue", queue_ms, 0.0,
-                       limits.deadline_ms);
+    count_shed("deadline_elapsed_in_queue", queue_ms, 0.0, limits.deadline_ms);
     maybe_dump_flight_on_shed_burst();
   } else {
-    const auto picked_up = std::chrono::steady_clock::now();
+    const auto picked_up = support::Clock::now();
     // The deadline is end-to-end: the analysis Budget gets whatever the
     // queue wait left over.
     if (limits.deadline_ms > 0.0) limits.deadline_ms -= queue_ms;
     response = service_->analyze(request, {}, source_digest);
     if (config_.min_service_ms > 0.0) {
-      const double remaining = config_.min_service_ms - elapsed_ms(picked_up);
+      const double remaining =
+          config_.min_service_ms - support::ms_since(picked_up);
       if (remaining > 0.0) {
         std::this_thread::sleep_for(
             std::chrono::duration<double, std::milli>(remaining));
       }
     }
-    response.service_ms = elapsed_ms(picked_up);
+    response.service_ms = support::ms_since(picked_up);
     metrics.service_ms.record(response.service_ms);
     service_window_.record(response.service_ms);
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      if (response.ok()) ++stats_.requests_served;
-      else ++stats_.requests_invalid;
-    }
+    bump(response.ok() ? counters_.requests_served
+                       : counters_.requests_invalid);
     if (slow_exemplars_.offer(response.source_hash, request.request_id,
                               response.service_ms)) {
       obs::flight_record(obs::FlightEventKind::kSlowExemplar,
@@ -730,9 +666,15 @@ void Server::serve_metrics_http(Connection& connection) {
 }
 
 ServerStats Server::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  ServerStats stats = stats_;
+  constexpr auto relaxed = std::memory_order_relaxed;
+  ServerStats stats;
+  stats.connections_accepted = counters_.connections_accepted.load(relaxed);
+  stats.connections_refused = counters_.connections_refused.load(relaxed);
   stats.connections_open = open_connections_.load();
+  stats.requests_admitted = counters_.requests_admitted.load(relaxed);
+  stats.requests_served = counters_.requests_served.load(relaxed);
+  stats.requests_shed = counters_.requests_shed.load(relaxed);
+  stats.requests_invalid = counters_.requests_invalid.load(relaxed);
   return stats;
 }
 

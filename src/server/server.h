@@ -43,7 +43,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -58,6 +57,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/window.h"
 #include "support/budget.h"
+#include "support/clock.h"
 #include "support/lru_table.h"
 #include "support/thread_pool.h"
 
@@ -109,7 +109,9 @@ struct ServerConfig {
   std::string flight_dump_path;
 };
 
-// Point-in-time counters for tests and the drain log line.
+// Counters for tests and the drain log line. The daemon bumps them with
+// relaxed atomic adds; a snapshot loads each one on its own, so two fields
+// read while requests are in flight need not describe the same instant.
 struct ServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_refused = 0;  // over max_connections
@@ -181,11 +183,22 @@ class Server {
   void process_request(Connection& connection,
                        analysis::AnalyzeRequest& request,
                        std::uint64_t source_digest,
-                       std::chrono::steady_clock::time_point admitted_at,
+                       support::Clock::time_point admitted_at,
                        std::size_t depth_at_admission);
-  // Answers a request line longer than max_line_bytes_ with
-  // kInvalidRequest; the caller then closes the connection.
-  void reject_oversized_line(Connection& connection);
+  // The one invalid-request path: answers `response` with `status` and
+  // `error` and counts it in ServerStats::requests_invalid (no jst_server_*
+  // counter covers refusals). `response` carries whatever ids the request
+  // line yielded.
+  void reject(Connection& connection, std::string error,
+              analysis::AnalyzeResponse response = {},
+              analysis::ResponseStatus status =
+                  analysis::ResponseStatus::kInvalidRequest);
+  // The one shed-counting path: ServerStats::requests_shed,
+  // jst_server_shed_total, the shed window and a kShed flight event
+  // labelled `reason` with the verdict's inputs. The caller answers the
+  // request and decides whether a burst dump may follow.
+  void count_shed(const char* reason, double a = 0.0, double b = 0.0,
+                  double c = 0.0);
   void respond(Connection& connection, const analysis::AnalyzeResponse&);
   // Writes one already-framed line under the connection's write_mutex;
   // a failed write (peer gone, or stalled past the 10 s send timeout)
@@ -244,8 +257,16 @@ class Server {
   Registry registry_;
   std::size_t registry_bytes_ = 0;
 
-  mutable std::mutex stats_mutex_;
-  ServerStats stats_;
+  // ServerStats counters (connections_open is open_connections_).
+  struct Counters {
+    std::atomic<std::uint64_t> connections_accepted{0};
+    std::atomic<std::uint64_t> connections_refused{0};
+    std::atomic<std::uint64_t> requests_admitted{0};
+    std::atomic<std::uint64_t> requests_served{0};
+    std::atomic<std::uint64_t> requests_shed{0};
+    std::atomic<std::uint64_t> requests_invalid{0};
+  };
+  Counters counters_;
 
   // Recent-traffic view (ServerConfig::window_seconds): per-server so
   // tests running several servers in one process don't blend windows the

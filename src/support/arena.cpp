@@ -45,8 +45,8 @@ void* Arena::allocate_slow(std::size_t bytes, std::size_t align) {
       cursor_ = start + bytes;
       return start;
     }
-    // Chunk too small for this request; count it as consumed and move on.
-    bytes_used_ += chunks_[active_].size;
+    // Chunk too small for this request: skip it. Nothing in it was handed
+    // out, so bytes_used_ does not change.
   }
 
   // Grow: double the last chunk size (clamped), but never smaller than

@@ -1,15 +1,15 @@
 // Monotonic bump allocator backing the parse front end (DESIGN.md §12).
 //
-// One Arena serves one script at a time: the lexer copies the source into
-// it, tokens carry string_views into that copy (or into arena-cooked
+// One Arena serves one script at a time: parse_program copies the source
+// into it, tokens carry string_views into that copy (or into arena-cooked
 // storage when unescaping was needed), and the AST places its nodes and
-// kid arrays in the same chunks. The token array itself is a heap vector
-// (ParseResult::tokens): it grows by doubling, and in an arena every
-// outgrown block would stay resident until the next reset. reset() is an
-// O(chunks) rewind that keeps every chunk for the next script, so a
-// pooled per-worker arena (analysis::ScriptScratch) makes steady-state
-// lex+parse allocation-free — the same reuse discipline ExtractScratch
-// gives feature extraction.
+// kid arrays in the same chunks. Tokens themselves are never stored here:
+// the parser pulls them from the lexer through a pooled TokenWindow
+// (parser/parser.h), heap vectors sized by the longest lookahead rather
+// than by the script. reset() is an O(chunks) rewind that keeps every
+// chunk for the next script, so a pooled per-worker arena
+// (analysis::ScriptScratch) makes steady-state lex+parse allocation-free
+// — the same reuse discipline ExtractScratch gives feature extraction.
 //
 // Allocation never runs destructors: everything placed in an arena must
 // be trivially destructible (static_asserted in alloc_array). Addresses

@@ -19,12 +19,13 @@
 // noise.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+
+#include "support/clock.h"
 
 namespace jst {
 
@@ -110,7 +111,7 @@ class Budget {
   explicit Budget(const ResourceLimits& limits)
       : limits_(limits),
         has_deadline_(limits.deadline_ms > 0.0),
-        start_(std::chrono::steady_clock::now()) {}
+        start_(support::Clock::now()) {}
 
   Budget(const Budget&) = delete;
   Budget& operator=(const Budget&) = delete;
@@ -184,11 +185,7 @@ class Budget {
 
   // --- accounting snapshot ---
 
-  double elapsed_ms() const {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start_)
-        .count();
-  }
+  double elapsed_ms() const { return support::ms_since(start_); }
   std::size_t tokens_charged() const noexcept { return tokens_; }
   std::size_t ast_nodes_charged() const noexcept { return ast_nodes_; }
   std::size_t dataflow_edges_charged() const noexcept {
@@ -200,7 +197,7 @@ class Budget {
 
   ResourceLimits limits_;
   bool has_deadline_ = false;
-  std::chrono::steady_clock::time_point start_{};
+  support::Clock::time_point start_{};
   std::size_t tokens_ = 0;
   std::size_t ast_nodes_ = 0;
   std::size_t dataflow_edges_ = 0;

@@ -1,7 +1,6 @@
 #include "support/thread_pool.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <memory>
@@ -10,6 +9,7 @@
 #include "obs/metrics.h"
 #include "obs/request_context.h"
 #include "obs/trace.h"
+#include "support/clock.h"
 
 namespace jst::support {
 namespace {
@@ -35,11 +35,9 @@ PoolMetrics& pool_metrics() {
 void run_task_timed(const std::function<void()>& task) {
   PoolMetrics& metrics = pool_metrics();
   JST_SPAN("pool.task");
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = Clock::now();
   task();
-  metrics.task_ms.record(std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - start)
-                             .count());
+  metrics.task_ms.record(ms_since(start));
   metrics.tasks.add(1);
 }
 

@@ -7,6 +7,7 @@
 
 #include "corpus/generator.h"
 #include "features/feature_extractor.h"
+#include "support/feature_oracles.h"
 #include "support/strings.h"
 #include "transform/transform.h"
 
@@ -237,6 +238,53 @@ TEST(Handpicked, SwitchInLoopSignature) {
   EXPECT_EQ(feature_of("function g() { switch (x) { case 1: a(); } }",
                        "switch_in_loop_per_function"),
             0.0f);
+}
+
+// The infinite loops' switch_in_loop count, read from the kReachSwitch
+// bits of one extraction.
+std::size_t switch_in_loop_count(const ScriptAnalysis& analysis) {
+  features::ExtractScratch scratch;
+  features::extract_into(analysis, FeatureConfig{}, scratch);
+  return scratch.counters.switch_in_loop;
+}
+
+// 300 nested for(;;) loops around one switch: every loop's body holds the
+// switch, so every loop counts, as the body-walking oracle says.
+TEST(Handpicked, SwitchInLoopUnderNestedLoopsMatchesBodyWalk) {
+  constexpr std::size_t kDepth = 300;
+  std::string source;
+  for (std::size_t i = 0; i < kDepth; ++i) source += "for(;;){";
+  source += "switch(x){case 1:a();}";
+  source.append(kDepth, '}');
+  const ScriptAnalysis analysis = analyze_script(source);
+  ASSERT_NE(analysis.parse.ast.root(), nullptr);
+  EXPECT_EQ(switch_in_loop_count(analysis), kDepth);
+  EXPECT_EQ(oracle::switch_in_loop(*analysis.parse.ast.root()), kDepth);
+}
+
+// The reach-bit count equals the body walk on generated programs, their
+// flattened forms (switch dispatchers in while(true) loops) and loops
+// whose switch sits in a nested function or outside the loop.
+TEST(Handpicked, SwitchInLoopMatchesBodyWalkOracle) {
+  std::vector<std::string> sources = pinned_sources();
+  Rng rng(7);
+  for (int i = 0; i < 4; ++i) {
+    sources.push_back(transform::flatten_control_flow(sources[2 * i], rng));
+  }
+  sources.push_back("while (true) { f(function () { switch (a) {} }); }");
+  sources.push_back("do { if (x) switch (y) { default: } } while (1);");
+  sources.push_back("switch (s) { case 0: for (;;) { s++; } }");
+  sources.push_back("for (;;) ; for (;x;) { switch (y) {} }");
+  std::size_t flagged = 0;
+  for (const std::string& source : sources) {
+    const ScriptAnalysis analysis = analyze_script(source);
+    ASSERT_NE(analysis.parse.ast.root(), nullptr) << source;
+    const std::size_t count = switch_in_loop_count(analysis);
+    EXPECT_EQ(count, oracle::switch_in_loop(*analysis.parse.ast.root()))
+        << source;
+    flagged += count;
+  }
+  EXPECT_GT(flagged, 4u);
 }
 
 TEST(Handpicked, CommentRatioReflectsComments) {

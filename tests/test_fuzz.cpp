@@ -547,6 +547,62 @@ TEST(HostileInputs, SeedCorpusUnaffectedByGovernance) {
   }
 }
 
+// Each stage time is the difference of two adjacent clock stamps and
+// total_ms the last stamp minus the first, so the stages add up to the
+// total for every status, up to rounding. A stage that did not run takes
+// exactly 0 ms.
+TEST(HostileInputs, StageTimesAddUpToTotalForEveryStatus) {
+  using analysis::ScriptStatus;
+  analysis::AnalyzerService service(fuzz_analyzer());
+  corpus::ProgramGenerator generator(1717);
+  corpus::GeneratorOptions generator_options;
+  generator_options.min_bytes = 600;
+  struct Case {
+    ScriptStatus status;
+    std::string source;
+    ResourceLimits limits;
+  };
+  const std::vector<Case> cases = {
+      {ScriptStatus::kOk, generator.generate(generator_options), {}},
+      {ScriptStatus::kParseError, "var = ;;; {{{", {}},
+      {ScriptStatus::kIneligibleSize, megabyte_literal(),
+       {.max_source_bytes = 64 * 1024}},
+      {ScriptStatus::kIneligibleSize, "var tiny = 1;", {}},
+      {ScriptStatus::kIneligibleAst,
+       "var filler = \"" + std::string(600, 'a') + "\";", {}},
+      {ScriptStatus::kBudgetTokens, jsfuck_blob(2000),
+       {.max_tokens = 1000}},
+      {ScriptStatus::kBudgetAstNodes, statement_flood(2000),
+       {.max_ast_nodes = 200}},
+      {ScriptStatus::kBudgetDepth, deeply_nested(200),
+       {.max_ast_depth = 32}},
+      {ScriptStatus::kBudgetDataflow, dataflow_flood(500),
+       {.max_dataflow_edges = 8}},
+      {ScriptStatus::kDeadlineExceeded, jsfuck_blob(10000),
+       {.deadline_ms = 1e-9}},
+      {ScriptStatus::kDegraded, "var x = 1; function f(a) { return a; } f(2);",
+       {.deadline_ms = 1e-9}},
+  };
+  for (const Case& c : cases) {
+    const analysis::ScriptOutcome outcome =
+        analyze_source(service, c.source, c.limits);
+    const std::string label(analysis::to_string(c.status));
+    ASSERT_EQ(outcome.status, c.status) << label;
+    const analysis::StageTimings& timing = outcome.timing;
+    EXPECT_GT(timing.total_ms, 0.0) << label;
+    EXPECT_NEAR(timing.static_analysis_ms + timing.features_ms +
+                    timing.inference_ms,
+                timing.total_ms, 1e-9)
+        << label;
+    if (!outcome.has_predictions()) {
+      EXPECT_EQ(timing.inference_ms, 0.0) << label;
+    }
+    if (outcome.partial_features.empty() && !outcome.has_predictions()) {
+      EXPECT_EQ(timing.features_ms, 0.0) << label;
+    }
+  }
+}
+
 TEST(HostileInputs, OutcomeJsonRoundTripsKeyFields) {
   analysis::AnalyzerService service(fuzz_analyzer());
   ResourceLimits limits;

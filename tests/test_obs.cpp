@@ -451,14 +451,14 @@ TEST(ObsSmoke, TraceJsonlAndPrometheusParseCleanly) {
   EXPECT_EQ(script_spans, sources.size());
   EXPECT_GE(stage_spans, 3 * sources.size());
 
-  // Batch stats: percentiles ordered, stage sums partition the totals.
+  // Batch stats: percentiles ordered, stage sums partition the totals
+  // (each fresh outcome's stages add up to its total up to rounding).
   const analysis::BatchStats& stats = result.stats;
   EXPECT_LE(stats.p50_script_ms, stats.p95_script_ms);
   EXPECT_LE(stats.p95_script_ms, stats.p99_script_ms);
   EXPECT_LE(stats.p99_script_ms, stats.max_script_ms);
-  EXPECT_LE(stats.stage_ms_sum(), stats.total_script_ms + 1e-6);
   EXPECT_NEAR(stats.stage_ms_sum(), stats.total_script_ms,
-              0.05 * stats.total_script_ms + 0.05 * stats.total);
+              1e-6 * static_cast<double>(stats.total));
   EXPECT_TRUE(is_valid_json(stats.to_json())) << stats.to_json();
 
   // The global registry saw the batch and exports cleanly in both formats.

@@ -22,6 +22,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <regex>
@@ -590,23 +591,69 @@ TEST_F(ServerFixture, PingMetricsAndHttpScrape) {
   EXPECT_NE(head.find("HTTP/1.0 200 OK"), std::string::npos);
 }
 
+// One line per kind of invalid request, each on a fresh connection. Every
+// kind is answered and counted once by the one refusal path:
+// ServerStats::requests_invalid moves by one and nothing else moves — no
+// admission, no shed, and no jst_server_* counter (none counts refusals).
+// The connection survives every kind but the oversized line, after which
+// the daemon closes it.
 TEST_F(ServerFixture, MalformedLineAnswersInvalidRequest) {
-  StartServer("bad", server::ServerConfig{});
-  server::Client client(daemon_->socket_path());
-  const std::vector<std::string> lines = {"this is not json",
-                                          R"({"op":"bogus"})"};
-  for (const std::string& line : lines) {
+  server::ServerConfig config;
+  constexpr std::size_t kMaxSource = 4096;
+  constexpr std::size_t kLineCap = 6 * kMaxSource + 64 * 1024;
+  config.default_limits.max_source_bytes = kMaxSource;
+  StartServer("bad", config);
+  using analysis::ResponseStatus;
+  struct Refusal {
+    const char* kind;
+    std::string line;
+    ResponseStatus status;
+    const char* id;  // the id the answer echoes
+  };
+  const std::vector<Refusal> refusals = {
+      {"malformed JSON", "this is not json", ResponseStatus::kInvalidRequest,
+       ""},
+      {"unknown op", R"({"op":"bogus"})", ResponseStatus::kInvalidRequest, ""},
+      {"bad request", R"({"v":1,"id":"r3","source":"x","bogus":true})",
+       ResponseStatus::kInvalidRequest, "r3"},
+      {"unknown source_hash",
+       analysis::wire::analyze_request_json(
+           analysis::AnalyzeRequest::for_hash("00112233aabbccdd", "r4")),
+       ResponseStatus::kNotFound, "r4"},
+      {"oversized line", std::string(kLineCap + 1, 'a'),
+       ResponseStatus::kInvalidRequest, ""},
+  };
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  const auto server_counters = [&registry] {
+    return std::vector<std::uint64_t>{
+        registry.counter("jst_server_requests_total").value(),
+        registry.counter("jst_server_shed_total").value(),
+        registry.counter("jst_server_connections_refused_total").value()};
+  };
+  for (const Refusal& refusal : refusals) {
+    const server::ServerStats before = daemon_->stats();
+    const std::vector<std::uint64_t> counters_before = server_counters();
+    server::Client client(daemon_->socket_path());
     std::string error;
     const auto parsed = analysis::wire::parse_analyze_response(
-        client.call_raw(line), &error);
-    ASSERT_TRUE(parsed.has_value()) << line << ": " << error;
-    EXPECT_EQ(parsed->status, analysis::ResponseStatus::kInvalidRequest)
-        << line;
-    // The connection survives the bad line.
-    EXPECT_TRUE(client.ping()) << line;
+        client.call_raw(refusal.line), &error);
+    ASSERT_TRUE(parsed.has_value()) << refusal.kind << ": " << error;
+    EXPECT_EQ(parsed->status, refusal.status) << refusal.kind;
+    EXPECT_EQ(parsed->id, refusal.id) << refusal.kind;
+    if (refusal.line.size() <= kLineCap) {
+      EXPECT_TRUE(client.ping()) << refusal.kind;
+    }
+    const server::ServerStats after = daemon_->stats();
+    EXPECT_EQ(after.requests_invalid, before.requests_invalid + 1)
+        << refusal.kind;
+    EXPECT_EQ(after.requests_admitted, before.requests_admitted)
+        << refusal.kind;
+    EXPECT_EQ(after.requests_served, before.requests_served) << refusal.kind;
+    EXPECT_EQ(after.requests_shed, before.requests_shed) << refusal.kind;
+    EXPECT_EQ(after.connections_refused, before.connections_refused)
+        << refusal.kind;
+    EXPECT_EQ(server_counters(), counters_before) << refusal.kind;
   }
-  // Every kInvalidRequest answer is counted, unknown ops included.
-  EXPECT_EQ(daemon_->stats().requests_invalid, lines.size());
 }
 
 // One "Vm...:" field of /proc/self/status in KiB (VmSize: virtual address
@@ -622,9 +669,49 @@ std::size_t status_kib(const std::string& field) {
   return 0;
 }
 
+// Open file descriptors of this process (daemon and clients alike).
+std::size_t open_fd_count() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
+}
+
+// Connects to `socket_path` and returns everything the daemon sends until
+// it closes the connection (10 s receive timeout).
+std::string read_until_closed(const std::string& socket_path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return "socket failed";
+  sockaddr_un address{};
+  address.sun_family = AF_UNIX;
+  std::strncpy(address.sun_path, socket_path.c_str(),
+               sizeof(address.sun_path) - 1);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&address),
+                sizeof(address)) != 0) {
+    ::close(fd);
+    return "connect failed";
+  }
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  std::string received;
+  char buffer[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+    if (n <= 0) break;
+    received.append(buffer, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return received;
+}
+
 // A finished connection's reader thread is joined when the next one is
 // accepted, so its stack is unmapped: address space stays flat across
 // many short-lived connections instead of growing a stack per client.
+// Connections refused over max_connections leave no descriptor behind.
+// Every connection is opened after the previous one closed.
 TEST_F(ServerFixture, FinishedConnectionsAreReaped) {
   StartServer("reap", server::ServerConfig{});
   const auto ping_and_close = [&] {
@@ -634,7 +721,7 @@ TEST_F(ServerFixture, FinishedConnectionsAreReaped) {
   for (int i = 0; i < 8; ++i) ping_and_close();
   const std::size_t before_kib = status_kib("VmSize:");
   ASSERT_GT(before_kib, 0u);
-  constexpr int kConnections = 200;
+  constexpr int kConnections = 1000;
   for (int i = 0; i < kConnections; ++i) ping_and_close();
   const std::size_t after_kib = status_kib("VmSize:");
   const std::size_t growth_kib =
@@ -643,6 +730,31 @@ TEST_F(ServerFixture, FinishedConnectionsAreReaped) {
       << "VmSize grew " << growth_kib / 1024 << " MiB over " << kConnections
       << " connections";
   EXPECT_EQ(daemon_->stats().connections_accepted, 8u + kConnections);
+
+  // One held connection fills a cap of one; every further one is refused.
+  server::ServerConfig capped;
+  capped.max_connections = 1;
+  StartServer("reapcap", capped);
+  server::Client holder(daemon_->socket_path());
+  ASSERT_TRUE(holder.ping());
+  obs::Counter& refused = obs::MetricsRegistry::global().counter(
+      "jst_server_connections_refused_total");
+  const std::uint64_t refused_before = refused.value();
+  const std::size_t fds_before = open_fd_count();
+  constexpr std::size_t kRefused = 1000;
+  for (std::size_t i = 0; i < kRefused; ++i) {
+    const std::string received = read_until_closed(daemon_->socket_path());
+    std::string error;
+    const auto parsed = analysis::wire::parse_analyze_response(
+        received.substr(0, received.find('\n')), &error);
+    ASSERT_TRUE(parsed.has_value()) << i << ": " << error;
+    ASSERT_EQ(parsed->status, analysis::ResponseStatus::kOverloaded) << i;
+  }
+  EXPECT_EQ(open_fd_count(), fds_before);
+  EXPECT_EQ(daemon_->stats().connections_refused, kRefused);
+  EXPECT_EQ(refused.value() - refused_before, kRefused);
+  EXPECT_EQ(daemon_->stats().connections_accepted, 1u);
+  EXPECT_TRUE(holder.ping());
 }
 
 // With max_connections = 4, four clients are served and a fifth
@@ -666,26 +778,7 @@ TEST_F(ServerFixture, ConnectionCapRefusesOverflow) {
   EXPECT_EQ(daemon_->stats().connections_open, 4u);
   EXPECT_EQ(registry.gauge("jst_server_open_connections").value(), 4.0);
 
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_un address{};
-  address.sun_family = AF_UNIX;
-  std::strncpy(address.sun_path, daemon_->socket_path().c_str(),
-               sizeof(address.sun_path) - 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&address),
-                      sizeof(address)),
-            0);
-  timeval timeout{};
-  timeout.tv_sec = 10;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-  std::string received;
-  char buffer[4096];
-  for (;;) {  // until the daemon closes the connection
-    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-    if (n <= 0) break;
-    received.append(buffer, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
+  const std::string received = read_until_closed(daemon_->socket_path());
   const std::vector<std::string> lines = split_lines(received);
   ASSERT_EQ(lines.size(), 1u) << received;
   std::string error;
@@ -859,6 +952,9 @@ TEST_F(ServerFixture, OverloadShedsDeterministically) {
   config.shed_burst_dump_threshold = 2;
   config.flight_dump_path = dump_path;
   StartServer("overload", config);
+  obs::Counter& shed_total =
+      obs::MetricsRegistry::global().counter("jst_server_shed_total");
+  const std::uint64_t shed_before = shed_total.value();
 
   constexpr std::size_t kClients = 6;
   std::vector<std::unique_ptr<server::Client>> clients;
@@ -888,6 +984,10 @@ TEST_F(ServerFixture, OverloadShedsDeterministically) {
   const server::ServerStats stats = daemon_->stats();
   EXPECT_EQ(stats.requests_admitted, 2u);
   EXPECT_EQ(stats.requests_shed, 4u);
+  // The shed path counts each shed once in every sink.
+  EXPECT_EQ(shed_total.value() - shed_before, 4u);
+  EXPECT_NE(daemon_->stats_json().find("\"shed\":4"), std::string::npos)
+      << daemon_->stats_json();
 
   // The shed burst crossed the threshold: the flight recorder was dumped
   // automatically, and the dump names the overload verdicts.
@@ -910,6 +1010,9 @@ TEST_F(ServerFixture, DeadlineElapsedInQueueShedsAtPickup) {
   config.workers = 1;
   config.min_service_ms = 200.0;
   StartServer("latedl", config);
+  obs::Counter& shed_total =
+      obs::MetricsRegistry::global().counter("jst_server_shed_total");
+  const std::uint64_t shed_before = shed_total.value();
 
   constexpr std::size_t kClients = 3;
   std::vector<std::unique_ptr<server::Client>> clients;
@@ -942,6 +1045,8 @@ TEST_F(ServerFixture, DeadlineElapsedInQueueShedsAtPickup) {
   // estimate once a p95 exists, or at pickup) — never analyzed late.
   EXPECT_EQ(ok.load(), 1u);
   EXPECT_EQ(overloaded.load(), kClients - 1);
+  EXPECT_EQ(daemon_->stats().requests_shed, kClients - 1);
+  EXPECT_EQ(shed_total.value() - shed_before, kClients - 1);
 }
 
 // A governed request that is admitted and served gets the outcome the
